@@ -13,6 +13,11 @@ Three contracts are asserted and recorded to ``BENCH_cluster.json``:
 * **audit integrity** — zero read-after-write audit failures even though
   one array is drained mid-run and its keys live-migrate.
 
+It also records, for aegis-9x61, ``control_plane_overhead_fraction``:
+the share of a default run (time series plus SLO evaluation on) that
+goes away when the same run is repeated with ``series_bucket=0``, the
+median over :data:`CONTROL_PLANE_PAIRS` adjacent on/off pairs.
+
 Usage::
 
     PYTHONPATH=src python -m benchmarks.bench_cluster            # measure + write
@@ -20,8 +25,9 @@ Usage::
     PYTHONPATH=src python -m benchmarks.bench_cluster --ops 800 --workers 1 2
 
 ``--check`` enforces the serial-throughput regression factor vs the
-recorded file and (multi-CPU hosts only, same core count as the record —
-see :mod:`benchmarks.hostmeta`) the parallel-speedup comparison.
+recorded file, (multi-CPU hosts only, same core count as the record —
+see :mod:`benchmarks.hostmeta`) the parallel-speedup comparison, and the
+:data:`CONTROL_PLANE_OVERHEAD_MAX` ceiling on the control-plane cost.
 Determinism and audit failures always flag, gate or not.
 """
 
@@ -30,6 +36,7 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -55,8 +62,28 @@ BENCH_SPECS = (
 #: endurance that makes wear (remaps, key loss) visible within the run
 ENDURANCE = 30.0
 
+#: the spec whose control-plane cost is measured and gated
+GATED_SPEC = "aegis-9x61"
 
-def _run(spec, *, ops: int, workers: int, engine: str, degrade_at: int):
+#: measured series-on/series-off run pairs of the control-plane leg
+CONTROL_PLANE_PAIRS = 9
+
+#: ceiling on ``control_plane_overhead_fraction``.  With incremental SLO
+#: evaluation it measured 0.15-0.21 at the default 1200 ops (2-vCPU VM,
+#: Python 3.11, numpy 2.4); the full-rescan engine it replaced measured
+#: 0.35-0.36 on the same host
+CONTROL_PLANE_OVERHEAD_MAX = 0.28
+
+
+def _run(
+    spec,
+    *,
+    ops: int,
+    workers: int,
+    engine: str,
+    degrade_at: int,
+    series_bucket: int | None = None,
+):
     start = time.perf_counter()
     report = run_cluster_bench(
         spec,
@@ -72,8 +99,37 @@ def _run(spec, *, ops: int, workers: int, engine: str, degrade_at: int):
         degrade_array=1,
         engine=engine,
         workers=workers,
+        series_bucket=series_bucket,
     )
     return report, time.perf_counter() - start
+
+
+def _control_plane_leg(spec, *, ops: int, degrade_at: int) -> dict:
+    """Same-run cost of time series plus SLO evaluation: the default run
+    against ``series_bucket=0``, in adjacent pairs after one warm-up
+    pair; the fraction is the median over pairs, so host drift that
+    slows one stretch of the benchmark cancels within each pair."""
+    seconds: dict[str, list[float]] = {"on": [], "off": []}
+    for _ in range(CONTROL_PLANE_PAIRS + 1):
+        for side, series_bucket in (("on", None), ("off", 0)):
+            _report, elapsed = _run(
+                spec,
+                ops=ops,
+                workers=1,
+                engine="auto",
+                degrade_at=degrade_at,
+                series_bucket=series_bucket,
+            )
+            seconds[side].append(elapsed)
+    on, off = seconds["on"][1:], seconds["off"][1:]
+    return {
+        "pairs": CONTROL_PLANE_PAIRS,
+        "series_on_seconds": round(statistics.median(on), 4),
+        "series_off_seconds": round(statistics.median(off), 4),
+        "control_plane_overhead_fraction": round(
+            max(0.0, statistics.median(1.0 - b / a for a, b in zip(on, off))), 4
+        ),
+    }
 
 
 def run_benchmark(
@@ -126,6 +182,11 @@ def run_benchmark(
             )
         serial_rate = runs[0]["ops_per_second"]
         best = max(runs, key=lambda r: r["ops_per_second"])
+        control_plane = (
+            _control_plane_leg(spec, ops=ops, degrade_at=degrade_at)
+            if key == GATED_SPEC
+            else None
+        )
 
         metrics = serial.telemetry.metrics
         interactive_bp = metrics.counter_total(
@@ -153,6 +214,7 @@ def run_benchmark(
                 ),
                 "audit_digest": serial.audit_digest,
                 "snapshot_digest": serial.snapshot_digest,
+                **({"control_plane": control_plane} if control_plane else {}),
             }
         )
     return {
@@ -206,11 +268,12 @@ def check_regression(previous: dict, current: dict, factor: float) -> list[str]:
 
 
 def check_gates(current: dict) -> list[str]:
-    """Correctness gate messages (empty = healthy).
+    """Correctness and cost gate messages (empty = healthy).
 
     These are host-independent: digests must agree across workers and
-    engines, the audit must be clean, and interactive tenants must never
-    have been backpressured."""
+    engines, the audit must be clean, interactive tenants must never
+    have been backpressured, and the control plane's same-run overhead
+    must stay under :data:`CONTROL_PLANE_OVERHEAD_MAX`."""
     failures = []
     cpus = current.get("host_cpus") or 1
     for record in current["specs"]:
@@ -234,6 +297,15 @@ def check_gates(current: dict) -> list[str]:
                 f"{record['spec']}: interactive tenants saw "
                 f"{record['interactive_backpressure']} backpressure refusals "
                 f"(host_cpus={cpus})"
+            )
+        overhead = record.get("control_plane", {}).get(
+            "control_plane_overhead_fraction", 0.0
+        )
+        if record["spec"] == GATED_SPEC and overhead > CONTROL_PLANE_OVERHEAD_MAX:
+            failures.append(
+                f"{record['spec']}: series plus SLO evaluation cost "
+                f"{overhead:.1%} of the run, over the "
+                f"{CONTROL_PLANE_OVERHEAD_MAX:.0%} budget (host_cpus={cpus})"
             )
     return failures
 
@@ -271,12 +343,18 @@ def main(argv: list[str] | None = None) -> int:
         if flags:
             status = 1
         flag = " ".join(flags) if flags else "ok"
+        control_plane = record.get("control_plane")
         print(
             f"{record['spec']:12s} serial {record['serial_ops_per_second']:8.1f} ops/s  "
             f"engine {record['engine_speedup']:5.2f}x  "
             f"best {record['best_speedup']:.2f}x @ {record['best_speedup_workers']} workers  "
             f"migrations {record['migrations']:3d}  lost {record['dead_keys']:2d}  "
-            f"[{flag}]"
+            + (
+                f"control plane {control_plane['control_plane_overhead_fraction']:.1%}  "
+                if control_plane
+                else ""
+            )
+            + f"[{flag}]"
         )
     if args.check:
         if (current.get("host_cpus") or 1) <= 1:

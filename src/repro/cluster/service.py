@@ -445,9 +445,8 @@ class ClusterService:
         metrics = self.telemetry.metrics
         cluster_live = cluster_total = 0
         for node in self.nodes:
-            summary = node.array.capacity_summary()
-            live = int(summary["live_addresses"])
-            total = int(summary["total_addresses"])
+            live = node.array.live_addresses
+            total = node.array.n_addresses
             cluster_live += live
             cluster_total += total
             metrics.set_gauge(

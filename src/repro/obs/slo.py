@@ -35,9 +35,9 @@ from __future__ import annotations
 
 import json
 import re
+from collections import deque
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
-
-import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.obs.timeseries import TimeSeriesRecorder
@@ -291,8 +291,134 @@ def default_cluster_slos() -> tuple[SLOSpec, ...]:
     )
 
 
+#: ``(bad, total)`` event counts of one bucket
+_Counts = tuple[float, float]
+
+#: reads one slot's :data:`_Counts` from the recorder's ring tables
+_Reader = Callable[[int], _Counts]
+
+
+def _spec_selectors(spec: SLOSpec) -> tuple[tuple[str, dict[str, str]], ...]:
+    """The parsed series selectors a spec reads (``(bad, total)`` for a
+    ratio, the single series otherwise)."""
+    if spec.kind == "ratio":
+        return _parse_selector(spec.bad_series), _parse_selector(spec.series)
+    return (_parse_selector(spec.series),)
+
+
+class _BurnState:
+    """Trailing fast/slow window sums of one spec's ``(bad, total)``
+    series, plus what :meth:`SLOEngine.poll` remembers between calls.
+
+    The sums cover the *closed* buckets: :meth:`burn` rates the bucket
+    after them without closing it (the newest bucket may still fill),
+    :meth:`close` appends a bucket for good.  This is the only burn-rate
+    implementation — :meth:`SLOEngine.evaluate` scans the retained window
+    with a fresh state, :meth:`SLOEngine.poll` scans only the buckets
+    added since its previous scan plus the still-open newest one.
+    """
+
+    __slots__ = ("spec", "history", "sums", "fired",
+                 "next_bucket", "open_counts", "open_fired", "alerted")
+
+    def __init__(self, spec: SLOSpec) -> None:
+        self.spec = spec
+        #: counts of the newest ``slow_window`` closed buckets
+        self.history: deque[_Counts] = deque(maxlen=spec.slow_window)
+        #: ``(fast bad, fast total, slow bad, slow total)`` ending at the
+        #: newest closed bucket
+        self.sums = (0.0, 0.0, 0.0, 0.0)
+        #: whether the newest closed bucket fired
+        self.fired = False
+        #: first bucket not yet closed (``None`` before the first scan)
+        self.next_bucket: int | None = None
+        #: the open bucket's counts and fired state at the last scan
+        self.open_counts: _Counts = (0.0, 0.0)
+        self.open_fired = False
+        #: the newest bucket that raised an alert (each alerts at most once)
+        self.alerted = -1
+
+    def burn(self, bad: float, total: float) -> tuple[bool, float, float, tuple]:
+        """``(fired, burn_fast, burn_slow, sums)`` of the bucket after the
+        closed ones (burn is 0 where a window saw no events)."""
+        spec = self.spec
+        history = self.history
+        fast_bad, fast_total, slow_bad, slow_total = self.sums
+        fast_bad += bad
+        fast_total += total
+        slow_bad += bad
+        slow_total += total
+        if len(history) >= spec.fast_window:
+            old_bad, old_total = history[-spec.fast_window]
+            fast_bad -= old_bad
+            fast_total -= old_total
+        if len(history) == spec.slow_window:
+            old_bad, old_total = history[0]
+            slow_bad -= old_bad
+            slow_total -= old_total
+        fast = fast_bad / fast_total / spec.objective if fast_total > 0 else 0.0
+        slow = slow_bad / slow_total / spec.objective if slow_total > 0 else 0.0
+        fired = fast >= spec.burn_threshold and slow >= spec.burn_threshold
+        return fired, fast, slow, (fast_bad, fast_total, slow_bad, slow_total)
+
+    def close(self, counts: _Counts, sums: tuple, fired: bool) -> None:
+        self.history.append(counts)
+        self.sums = sums
+        self.fired = fired
+
+    def close_evicted(self, count: int) -> None:
+        """Close ``count`` buckets the ring evicted before a scan closed
+        them: the open bucket on its last-read counts, the rest empty
+        (after ``slow_window`` empty buckets nothing is left to forget)."""
+        counts = self.open_counts
+        for _ in range(min(count, self.spec.slow_window + 1)):
+            fired, _fast, _slow, sums = self.burn(*counts)
+            self.close(counts, sums, fired)
+            counts = (0.0, 0.0)
+
+    def scan(
+        self,
+        read: _Reader,
+        start: int,
+        first: int,
+        end: int,
+        *,
+        keep_open: bool,
+        series: list | None = None,
+    ) -> list[tuple[int, float, float]]:
+        """Rate absolute buckets ``first .. end - 1`` (slot ``bucket -
+        start``) and return their new rising edges as ``(bucket,
+        burn_fast, burn_slow)``.
+
+        Every bucket is closed except, with ``keep_open``, the newest;
+        ``series`` (when given) collects ``(bad, total, fired, fast,
+        slow)`` per bucket.
+        """
+        edges: list[tuple[int, float, float]] = []
+        newest = end - 1
+        for bucket in range(first, end):
+            counts = read(bucket - start)
+            fired, fast, slow, sums = self.burn(*counts)
+            if fired and not self.fired and bucket != self.alerted:
+                self.alerted = bucket
+                edges.append((bucket, fast, slow))
+            if series is not None:
+                series.append((*counts, fired, fast, slow))
+            if keep_open and bucket == newest:
+                self.open_counts, self.open_fired = counts, fired
+            else:
+                self.close(counts, sums, fired)
+        return edges
+
+
 class SLOEngine:
-    """Evaluate :class:`SLOSpec`s against a recorder's buckets."""
+    """Evaluate :class:`SLOSpec`s against a recorder's buckets.
+
+    Each spec's selectors are parsed once, and the matching ring tables
+    are resolved again only when the recorder's series layout changes.
+    A spec's ``slow_window`` must fit in the recorder's capacity, so the
+    trailing windows of the newest bucket are always fully retained.
+    """
 
     def __init__(
         self, recorder: TimeSeriesRecorder, specs: tuple[SLOSpec, ...] | list[SLOSpec]
@@ -300,109 +426,139 @@ class SLOEngine:
         names = [spec.name for spec in specs]
         if len(set(names)) != len(names):
             raise ConfigurationError("SLO spec names must be unique")
+        for spec in specs:
+            if spec.slow_window > recorder.capacity:
+                raise ConfigurationError(
+                    f"SLO {spec.name!r}: slow_window {spec.slow_window} exceeds "
+                    f"the recorder capacity of {recorder.capacity} buckets"
+                )
         self.recorder = recorder
         self.specs = tuple(specs)
-        # poll() memory: absolute buckets already alerted per spec, so the
-        # control plane sees each rising edge exactly once across polls
-        self._alerted: dict[str, set[int]] = {spec.name: set() for spec in self.specs}
+        self._selectors = {spec.name: _spec_selectors(spec) for spec in self.specs}
+        self._readers: dict[str, _Reader] = {}
+        self._layout = -1
+        # poll() memory: per-spec window state, the recorder sample count
+        # it last saw, and the rising edges not yet handed to poll()
+        self._states = {spec.name: _BurnState(spec) for spec in self.specs}
+        self._seen_samples = 0
+        self._fresh: list[AlertEvent] = []
 
     # -- per-spec series -----------------------------------------------------
 
-    def _bad_total(self, spec: SLOSpec) -> tuple[np.ndarray, np.ndarray]:
-        """Per-bucket ``(bad, total)`` event counts for a spec."""
+    def _resolved(self) -> dict[str, _Reader]:
+        """Per-spec slot readers, re-resolved on a series layout change."""
+        if self.recorder.layout_version != self._layout:
+            self._layout = self.recorder.layout_version
+            self._readers = {spec.name: self._reader(spec) for spec in self.specs}
+        return self._readers
+
+    def _reader(self, spec: SLOSpec) -> _Reader:
+        """A function from ring slot to the spec's ``(bad, total)`` counts."""
         recorder = self.recorder
+        selectors = self._selectors[spec.name]
         if spec.kind == "ratio":
-            bad_name, bad_labels = _parse_selector(spec.bad_series)
-            total_name, total_labels = _parse_selector(spec.series)
-            bad = recorder.counter_view(bad_name, **bad_labels).astype(np.float64)
-            total = recorder.counter_view(total_name, **total_labels).astype(np.float64)
-            return bad, total
+            (bad_name, bad_labels), (total_name, total_labels) = selectors
+            bad = recorder.slot_tables("counter", bad_name, bad_labels)
+            total = recorder.slot_tables("counter", total_name, total_labels)
+            return lambda slot: (
+                float(sum(array.item(slot) for array in bad)),
+                float(sum(array.item(slot) for array in total)),
+            )
+        ((name, labels),) = selectors
         if spec.kind == "quantile":
-            name, labels = _parse_selector(spec.series)
-            view = recorder.histogram_view(name, **labels)
-            if view is None:
-                empty = np.zeros(recorder.bucket_count, dtype=np.float64)
-                return empty, empty.copy()
-            edges, counts, totals, _sums = view
+            entries = recorder.slot_tables("histogram", name, labels)
+            if not entries:
+                return lambda slot: (0.0, 0.0)
+            edges = entries[0]["edges"]
+            if any(entry["edges"] != edges for entry in entries):
+                raise ConfigurationError(
+                    f"selector {name!r} matches histograms with differing edges"
+                )
             # observations in buckets whose inclusive upper edge is <= bound
             # are within the objective; everything else (incl. overflow) is bad
             good_buckets = sum(1 for edge in edges if edge <= spec.bound)
-            good = counts[:, :good_buckets].sum(axis=1) if good_buckets else 0
-            total = totals.astype(np.float64)
-            return total - good, total
-        # retention: bad = sampled buckets where the gauge dips below minimum
-        name, labels = _parse_selector(spec.series)
-        values = recorder.gauge_view(name, **labels)
-        sampled = recorder.sampled_mask()
-        total = sampled.astype(np.float64)
-        bad = (sampled & (values < spec.bound)).astype(np.float64)
-        return bad, total
 
-    @staticmethod
-    def _burn(
-        bad: np.ndarray, total: np.ndarray, window: int, objective: float
-    ) -> np.ndarray:
-        """Trailing-window burn rate per bucket (0 where the window saw
-        no events; always finite)."""
-        if bad.size == 0:
-            return np.zeros(0, dtype=np.float64)
-        kernel = np.ones(window, dtype=np.float64)
-        bad_sum = np.convolve(bad, kernel)[: bad.size]
-        total_sum = np.convolve(total, kernel)[: bad.size]
-        out = np.zeros(bad.size, dtype=np.float64)
-        mask = total_sum > 0
-        out[mask] = (bad_sum[mask] / total_sum[mask]) / objective
-        return out
-
-    def _fired(self, spec: SLOSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-bucket ``(fired, burn_fast, burn_slow)`` for a spec."""
-        bad, total = self._bad_total(spec)
-        fast = self._burn(bad, total, spec.fast_window, spec.objective)
-        slow = self._burn(bad, total, spec.slow_window, spec.objective)
-        fired = (fast >= spec.burn_threshold) & (slow >= spec.burn_threshold)
-        return fired, fast, slow
-
-    def _events(
-        self, spec: SLOSpec, fired: np.ndarray, fast: np.ndarray, slow: np.ndarray
-    ) -> list[AlertEvent]:
-        """Rising-edge alert events over the retained window."""
-        recorder = self.recorder
-        events: list[AlertEvent] = []
-        previous = False
-        for index, firing in enumerate(fired.tolist()):
-            if firing and not previous:
-                bucket = recorder.start_bucket + index
-                events.append(
-                    AlertEvent(
-                        slo=spec.name,
-                        bucket=bucket,
-                        clock=(bucket + 1) * recorder.bucket_width,
-                        burn_fast=round(float(fast[index]), 6),
-                        burn_slow=round(float(slow[index]), 6),
-                        action=spec.action,
-                    )
+            def read_quantile(slot: int) -> _Counts:
+                total = sum(entry["totals"].item(slot) for entry in entries)
+                good = sum(
+                    int(entry["counts"][slot, :good_buckets].sum())
+                    for entry in entries
                 )
-            previous = firing
-        return events
+                return float(total - good), float(total)
+
+            return read_quantile
+        # retention: bad = sampled buckets where the gauge dips below minimum
+        gauges = recorder.slot_tables("gauge", name, labels)
+        samples = recorder.sample_count_table()
+
+        def read_retention(slot: int) -> _Counts:
+            if not samples.item(slot):
+                return 0.0, 0.0
+            value = 0.0
+            for array in gauges:
+                value += array.item(slot)
+            return (1.0 if value < spec.bound else 0.0), 1.0
+
+        return read_retention
+
+    def _event(self, spec: SLOSpec, bucket: int, fast: float, slow: float) -> AlertEvent:
+        return AlertEvent(
+            slo=spec.name,
+            bucket=bucket,
+            clock=(bucket + 1) * self.recorder.bucket_width,
+            burn_fast=round(fast, 6),
+            burn_slow=round(slow, 6),
+            action=spec.action,
+        )
+
+    def _update(self) -> None:
+        """The one evaluation step :meth:`poll` and :meth:`active_actions`
+        share: rate the buckets added since the previous step plus the
+        still-open newest bucket, queueing new rising edges for
+        :meth:`poll`.  A no-op until the recorder samples again."""
+        recorder = self.recorder
+        if recorder.samples == self._seen_samples:
+            return
+        self._seen_samples = recorder.samples
+        readers = self._resolved()
+        start = recorder.start_bucket
+        end = start + recorder.bucket_count
+        for spec in self.specs:
+            state = self._states[spec.name]
+            first = start if state.next_bucket is None else state.next_bucket
+            if first < start:
+                state.close_evicted(start - first)
+                first = start
+            for bucket, fast, slow in state.scan(
+                readers[spec.name], start, first, end, keep_open=True
+            ):
+                self._fresh.append(self._event(spec, bucket, fast, slow))
+            state.next_bucket = end - 1
 
     # -- reporting -----------------------------------------------------------
 
     def evaluate(self) -> dict:
         """Full evaluation: per-spec budget accounting, burn-rate series
         and alert events over the retained window (deterministic; safe
-        to fold into digested snapshots)."""
+        to fold into digested snapshots).  Windows of the oldest retained
+        buckets are truncated at the window start."""
+        recorder = self.recorder
+        start = recorder.start_bucket
+        end = start + recorder.bucket_count
+        readers = self._resolved()
         report: dict = {
-            "buckets": self.recorder.bucket_count,
-            "bucket_width": self.recorder.bucket_width,
-            "start_bucket": self.recorder.start_bucket,
+            "buckets": recorder.bucket_count,
+            "bucket_width": recorder.bucket_width,
+            "start_bucket": start,
             "slos": {},
         }
         for spec in self.specs:
-            bad, total = self._bad_total(spec)
-            fired, fast, slow = self._fired(spec)
-            events = self._events(spec, fired, fast, slow)
-            total_events = float(total.sum())
-            bad_events = float(bad.sum())
+            series: list = []
+            edges = _BurnState(spec).scan(
+                readers[spec.name], start, start, end, keep_open=False, series=series
+            )
+            bad_events = float(sum(row[0] for row in series))
+            total_events = float(sum(row[1] for row in series))
             budget = spec.objective * total_events
             consumed = bad_events / budget if budget > 0 else 0.0
             report["slos"][spec.name] = {
@@ -415,48 +571,32 @@ class SLOEngine:
                 "budget": round(budget, 6),
                 "budget_consumed": round(consumed, 6),
                 "budget_left_fraction": round(max(0.0, 1.0 - consumed), 6),
-                "violating_buckets": int(fired.sum()),
-                "burn_fast": [round(float(v), 6) for v in fast],
-                "burn_slow": [round(float(v), 6) for v in slow],
-                "alerts": [event.to_dict() for event in events],
+                "violating_buckets": sum(1 for row in series if row[2]),
+                "burn_fast": [round(row[3], 6) for row in series],
+                "burn_slow": [round(row[4], 6) for row in series],
+                "alerts": [
+                    self._event(spec, *edge).to_dict() for edge in edges
+                ],
             }
         return report
 
     def poll(self) -> list[AlertEvent]:
         """New rising-edge alerts since the previous poll.
 
-        Incremental and stateful: each spec remembers which buckets it
-        already alerted on, so the control plane sees each rising edge
-        exactly once however often it polls — including an edge on the
-        newest, still-filling bucket (per-bucket deltas only ever grow,
-        so a bucket's firing state is monotonic and a late-completing
-        bucket still raises its edge on the next poll).  Evicted buckets
-        are forgotten (their data is gone; they can never re-fire).
+        Incremental: each call rates only the buckets added since the
+        previous evaluation plus the newest bucket, which is re-rated on
+        every call because several samples can land in it (refused
+        writes do not advance the op clock).  Its predecessors' state is
+        frozen once a newer bucket exists.  A burn rate is a ratio, so a
+        filling bucket can fire and later stop firing; what keeps the
+        control plane from seeing an edge twice is that each bucket
+        alerts at most once.  Eviction does not reset the window state,
+        so a burn that outlasts the ring does not re-alert.  The engine
+        follows a recorder fed by ``sample()``: a ``merge()`` into closed
+        buckets is seen by :meth:`evaluate`, not by later polls.
         """
-        fresh: list[AlertEvent] = []
-        for spec in self.specs:
-            fired, fast, slow = self._fired(spec)
-            start = self.recorder.start_bucket
-            alerted = self._alerted[spec.name]
-            alerted.difference_update(
-                {bucket for bucket in alerted if bucket < start}
-            )
-            previous = False
-            for index, firing in enumerate(fired.tolist()):
-                bucket = start + index
-                if firing and not previous and bucket not in alerted:
-                    alerted.add(bucket)
-                    fresh.append(
-                        AlertEvent(
-                            slo=spec.name,
-                            bucket=bucket,
-                            clock=(bucket + 1) * self.recorder.bucket_width,
-                            burn_fast=round(float(fast[index]), 6),
-                            burn_slow=round(float(slow[index]), 6),
-                            action=spec.action,
-                        )
-                    )
-                previous = firing
+        self._update()
+        fresh, self._fresh = self._fresh, []
         return fresh
 
     def active_actions(self) -> frozenset[str]:
@@ -468,14 +608,12 @@ class SLOEngine:
         only at the instant it first crossed the threshold.  Empty-string
         actions (observe-only specs) are never included.
         """
-        active: set[str] = set()
-        for spec in self.specs:
-            if not spec.action:
-                continue
-            fired, _fast, _slow = self._fired(spec)
-            if fired.size and bool(fired[-1]):
-                active.add(spec.action)
-        return frozenset(active)
+        self._update()
+        return frozenset(
+            spec.action
+            for spec in self.specs
+            if spec.action and self._states[spec.name].open_fired
+        )
 
 
 def write_slo_jsonl(

@@ -114,6 +114,10 @@ class TimeSeriesRecorder:
         # last-seen absolute values, diffed on each sample
         self._last_counters: dict[_SeriesKey, int] = {}
         self._last_histograms: dict[_SeriesKey, tuple[list[int], int, float]] = {}
+        #: bumped whenever a series is added or :meth:`merge` replaces the
+        #: ring tables — the cue for holders of :meth:`slot_tables`
+        #: references (the SLO engine) to re-resolve their selectors
+        self.layout_version = 0
 
     # -- geometry ------------------------------------------------------------
 
@@ -138,12 +142,14 @@ class TimeSeriesRecorder:
         array = self._counters.get(key)
         if array is None:
             array = self._counters[key] = np.zeros(self.capacity, dtype=np.int64)
+            self.layout_version += 1
         return array
 
     def _gauge_array(self, key: _SeriesKey) -> np.ndarray:
         array = self._gauges.get(key)
         if array is None:
             array = self._gauges[key] = np.zeros(self.capacity, dtype=np.float64)
+            self.layout_version += 1
         return array
 
     def _histogram_entry(self, key: _SeriesKey, edges: tuple[float, ...]) -> dict:
@@ -155,6 +161,7 @@ class TimeSeriesRecorder:
                 "totals": np.zeros(self.capacity, dtype=np.int64),
                 "sums": np.zeros(self.capacity, dtype=np.float64),
             }
+            self.layout_version += 1
         return entry
 
     def _shift(self, amount: int) -> None:
@@ -260,6 +267,7 @@ class TimeSeriesRecorder:
             )
         self.dropped += other.dropped
         self.samples += other.samples
+        self.layout_version += 1
         self.last_clock = max(self.last_clock, other.last_clock)
         if other.bucket_count == 0:
             return
@@ -349,13 +357,33 @@ class TimeSeriesRecorder:
     def _window(self, array: np.ndarray) -> np.ndarray:
         return array[: self.bucket_count]
 
+    def slot_tables(self, kind: str, name: str, labels: dict[str, object]) -> list:
+        """The live ring tables of every ``kind`` series matching the
+        selector (name plus a label subset), in insertion order.
+
+        ``kind`` is ``"counter"`` or ``"gauge"`` (1-D arrays) or
+        ``"histogram"`` (``{"edges", "counts", "totals", "sums"}``
+        entries).  Slot ``bucket - start_bucket`` holds an absolute
+        bucket.  The tables are updated in place by :meth:`sample`, so a
+        reader may hold them until :attr:`layout_version` changes.
+        """
+        tables = {
+            "counter": self._counters,
+            "gauge": self._gauges,
+            "histogram": self._histograms,
+        }[kind]
+        return [table for key, table in tables.items() if _match(key, name, labels)]
+
+    def sample_count_table(self) -> np.ndarray:
+        """The live per-slot sample-count ring (see :meth:`slot_tables`)."""
+        return self._sample_counts
+
     def counter_view(self, name: str, **labels: object) -> np.ndarray:
         """Per-bucket deltas of every counter series matching the
         selector (name plus a label subset), summed — oldest first."""
         out = np.zeros(self.bucket_count, dtype=np.int64)
-        for key, array in self._counters.items():
-            if _match(key, name, labels):
-                out += self._window(array)
+        for array in self.slot_tables("counter", name, labels):
+            out += self._window(array)
         return out
 
     def rate_view(self, name: str, **labels: object) -> np.ndarray:
@@ -365,9 +393,8 @@ class TimeSeriesRecorder:
     def gauge_view(self, name: str, **labels: object) -> np.ndarray:
         """Per-bucket gauge values (summed over matching series)."""
         out = np.zeros(self.bucket_count, dtype=np.float64)
-        for key, array in self._gauges.items():
-            if _match(key, name, labels):
-                out += self._window(array)
+        for array in self.slot_tables("gauge", name, labels):
+            out += self._window(array)
         return out
 
     def histogram_view(
@@ -375,27 +402,20 @@ class TimeSeriesRecorder:
     ) -> tuple[tuple[float, ...], np.ndarray, np.ndarray, np.ndarray] | None:
         """Summed per-bucket histogram deltas for a selector, as
         ``(edges, counts, totals, sums)`` — ``None`` when nothing matches."""
-        edges: tuple[float, ...] | None = None
-        counts = totals = sums = None
-        for key, entry in self._histograms.items():
-            if not _match(key, name, labels):
-                continue
-            if edges is None:
-                edges = entry["edges"]
-                counts = self._window(entry["counts"]).copy()
-                totals = self._window(entry["totals"]).copy()
-                sums = self._window(entry["sums"]).copy()
-            else:
-                if entry["edges"] != edges:
-                    raise ConfigurationError(
-                        f"selector {name!r} matches histograms with differing edges"
-                    )
-                counts += self._window(entry["counts"])
-                totals += self._window(entry["totals"])
-                sums += self._window(entry["sums"])
-        if edges is None:
+        entries = self.slot_tables("histogram", name, labels)
+        if not entries:
             return None
-        return edges, counts, totals, sums
+        edges = entries[0]["edges"]
+        if any(entry["edges"] != edges for entry in entries):
+            raise ConfigurationError(
+                f"selector {name!r} matches histograms with differing edges"
+            )
+        return (
+            edges,
+            sum(self._window(entry["counts"]) for entry in entries),
+            sum(self._window(entry["totals"]) for entry in entries),
+            sum(self._window(entry["sums"]) for entry in entries),
+        )
 
     def sampled_mask(self) -> np.ndarray:
         """Boolean per-bucket mask of buckets that saw >= 1 sample."""

@@ -1,7 +1,8 @@
 """Tests for the SLO / error-budget engine (:mod:`repro.obs.slo`).
 
 Covers the spec grammar, the burn-rate math, the exactly-once alert
-poll, and the end-to-end contract: a cluster-bench degrade drill fires a
+poll (checked against a full-rescan reference over random streams), and
+the end-to-end contract: a cluster-bench degrade drill fires a
 burn-rate alert, the control plane answers it with ``kind="alert"``
 migrations, and every series/verdict/alert surface is bit-identical
 across worker counts and drain engines.
@@ -9,12 +10,16 @@ across worker counts and drain engines.
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.obs import MetricsRegistry, TimeSeriesRecorder
 from repro.obs.report import render_slo_report
 from repro.obs.slo import (
+    AlertEvent,
     SLOEngine,
     SLOSpec,
     default_cluster_slos,
@@ -22,6 +27,7 @@ from repro.obs.slo import (
     parse_slo,
     read_slo_jsonl,
     write_slo_jsonl,
+    _parse_selector,
 )
 from repro.cluster.bench import run_cluster_bench
 from repro.pcm.lifetime import NormalLifetime
@@ -150,6 +156,18 @@ class TestBurnMath:
         with pytest.raises(ConfigurationError):
             SLOEngine(recorder, specs)
 
+    def test_slow_window_beyond_capacity_rejected(self):
+        recorder = TimeSeriesRecorder(MetricsRegistry(), bucket_width=10, capacity=4)
+        fits = SLOSpec.ratio(
+            "fits", bad="x", total="y", objective=0.1, slow_window=4
+        )
+        SLOEngine(recorder, (fits,))
+        spec = SLOSpec.ratio(
+            "wide", bad="x", total="y", objective=0.1, slow_window=5
+        )
+        with pytest.raises(ConfigurationError, match="capacity"):
+            SLOEngine(recorder, (fits, spec))
+
 
 class TestPoll:
     def _burst_engine(self):
@@ -214,6 +232,238 @@ class TestPoll:
         assert record["bucket"] == 0
         assert record["clock"] == 10
         assert record["burn_fast"] == pytest.approx(5.0)
+
+    def test_burn_outlasting_the_ring_alerts_once(self):
+        spec = SLOSpec.ratio(
+            "loss", bad="bad_total", total="ops_total", objective=0.1,
+            fast_window=1, slow_window=2, burn_threshold=2.0,
+        )
+        registry = MetricsRegistry()
+        recorder = TimeSeriesRecorder(registry, bucket_width=1, capacity=3)
+        engine = SLOEngine(recorder, (spec,))
+        reference = _RescanReference(recorder, (spec,))
+        polled, rescanned = [], []
+        for tick in range(8):
+            registry.inc("ops_total", 5)
+            registry.inc("bad_total", 5)
+            recorder.sample(tick)
+            polled += [alert.bucket for alert in engine.poll()]
+            rescanned += [alert.bucket for alert in reference.poll()]
+        assert polled == [0]
+        # the full rescan saw each new oldest bucket as a fresh rising edge
+        assert rescanned == [0, 1, 2, 3, 4, 5]
+        assert engine.active_actions() == frozenset()
+
+
+class _RescanReference:
+    """The full-rescan ``poll``/``active_actions`` the incremental engine
+    replaced: every call rebuilds each spec's per-bucket series over the
+    whole retained window and convolves the burn windows."""
+
+    def __init__(self, recorder, specs):
+        self.recorder = recorder
+        self.specs = tuple(specs)
+        self._alerted = {spec.name: set() for spec in self.specs}
+
+    def _bad_total(self, spec):
+        recorder = self.recorder
+        if spec.kind == "ratio":
+            bad_name, bad_labels = _parse_selector(spec.bad_series)
+            total_name, total_labels = _parse_selector(spec.series)
+            bad = recorder.counter_view(bad_name, **bad_labels).astype(np.float64)
+            total = recorder.counter_view(total_name, **total_labels).astype(np.float64)
+            return bad, total
+        if spec.kind == "quantile":
+            name, labels = _parse_selector(spec.series)
+            view = recorder.histogram_view(name, **labels)
+            if view is None:
+                empty = np.zeros(recorder.bucket_count, dtype=np.float64)
+                return empty, empty.copy()
+            edges, counts, totals, _sums = view
+            good_buckets = sum(1 for edge in edges if edge <= spec.bound)
+            good = counts[:, :good_buckets].sum(axis=1) if good_buckets else 0
+            total = totals.astype(np.float64)
+            return total - good, total
+        name, labels = _parse_selector(spec.series)
+        values = recorder.gauge_view(name, **labels)
+        sampled = recorder.sampled_mask()
+        total = sampled.astype(np.float64)
+        bad = (sampled & (values < spec.bound)).astype(np.float64)
+        return bad, total
+
+    @staticmethod
+    def _burn(bad, total, window, objective):
+        if bad.size == 0:
+            return np.zeros(0, dtype=np.float64)
+        kernel = np.ones(window, dtype=np.float64)
+        bad_sum = np.convolve(bad, kernel)[: bad.size]
+        total_sum = np.convolve(total, kernel)[: bad.size]
+        out = np.zeros(bad.size, dtype=np.float64)
+        mask = total_sum > 0
+        out[mask] = (bad_sum[mask] / total_sum[mask]) / objective
+        return out
+
+    def _fired(self, spec):
+        bad, total = self._bad_total(spec)
+        fast = self._burn(bad, total, spec.fast_window, spec.objective)
+        slow = self._burn(bad, total, spec.slow_window, spec.objective)
+        fired = (fast >= spec.burn_threshold) & (slow >= spec.burn_threshold)
+        return fired, fast, slow
+
+    def poll(self):
+        fresh = []
+        for spec in self.specs:
+            fired, fast, slow = self._fired(spec)
+            start = self.recorder.start_bucket
+            alerted = self._alerted[spec.name]
+            alerted.difference_update({b for b in alerted if b < start})
+            previous = False
+            for index, firing in enumerate(fired.tolist()):
+                bucket = start + index
+                if firing and not previous and bucket not in alerted:
+                    alerted.add(bucket)
+                    fresh.append(
+                        AlertEvent(
+                            slo=spec.name,
+                            bucket=bucket,
+                            clock=(bucket + 1) * self.recorder.bucket_width,
+                            burn_fast=round(float(fast[index]), 6),
+                            burn_slow=round(float(slow[index]), 6),
+                            action=spec.action,
+                        )
+                    )
+                previous = firing
+        return fresh
+
+    def active_actions(self):
+        active = set()
+        for spec in self.specs:
+            if spec.action:
+                fired, _fast, _slow = self._fired(spec)
+                if fired.size and bool(fired[-1]):
+                    active.add(spec.action)
+        return frozenset(active)
+
+
+@st.composite
+def _spec_roster(draw, max_window):
+    """One ratio, one quantile and one retention spec with random windows."""
+
+    def windows():
+        fast = draw(st.integers(1, max_window))
+        return {
+            "fast_window": fast,
+            "slow_window": draw(st.integers(fast, max_window)),
+            "burn_threshold": draw(st.sampled_from([1.0, 1.5, 2.0, 3.0])),
+        }
+
+    return (
+        SLOSpec.ratio(
+            "loss", bad="bad_total{kind=lost}", total="ops_total",
+            objective=draw(st.sampled_from([0.05, 0.1, 0.25])),
+            action="migrate", **windows(),
+        ),
+        SLOSpec.quantile(
+            "tail", series="cost{stage=w}", q=0.9,
+            bound=draw(st.sampled_from([8.0, 32.0, 100.0])),
+            action="shed", **windows(),
+        ),
+        SLOSpec.retention(
+            "cap", series="retention{scope=cluster}", minimum=0.9,
+            objective=draw(st.sampled_from([0.1, 0.3])), **windows(),
+        ),
+    )
+
+
+#: one registry update: (ops, bad, bad kind, cost observations, retention
+#: gauge or None)
+_update = st.tuples(
+    st.integers(0, 12),
+    st.integers(0, 6),
+    st.sampled_from(["lost", "late"]),
+    st.lists(st.integers(0, 120), max_size=3),
+    st.none() | st.sampled_from([0.5, 0.85, 0.95, 1.0]),
+)
+
+
+def _apply(registry, update):
+    ops, bad, kind, costs, retention = update
+    if ops:
+        registry.inc("ops_total", ops, tenant="t0")
+    if bad:
+        registry.inc("bad_total", bad, kind=kind)
+    for cost in costs:
+        registry.observe("cost", cost, edges=(8, 32, 64), stage="w")
+    if retention is not None:
+        registry.set_gauge("retention", retention, scope="cluster")
+        registry.set_gauge("retention", 1.0, scope="node0")
+
+
+class TestIncrementalPoll:
+    """The incremental engine against the full-rescan reference."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        specs=_spec_roster(max_window=6),
+        steps=st.lists(
+            # (update, clock advance, poll now, actions before poll)
+            st.tuples(_update, st.integers(0, 9), st.booleans(), st.booleans()),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    def test_matches_full_rescan_without_eviction(self, specs, steps):
+        registry = MetricsRegistry()
+        # width 4, advance 0-9: several samples per bucket and empty gaps
+        recorder = TimeSeriesRecorder(registry, bucket_width=4, capacity=512)
+        engine = SLOEngine(recorder, specs)
+        reference = _RescanReference(recorder, specs)
+        clock = 0
+        for update, advance, poll, actions_first in steps:
+            _apply(registry, update)
+            recorder.sample(clock)
+            clock += advance
+            if not poll:
+                continue
+            if actions_first:
+                assert engine.active_actions() == reference.active_actions()
+            assert engine.poll() == reference.poll()
+            assert engine.active_actions() == reference.active_actions()
+        assert recorder.dropped == 0
+        assert engine.poll() == reference.poll()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        capacity=st.integers(1, 6),
+        data=st.data(),
+    )
+    def test_poll_union_matches_unbounded_evaluate(self, capacity, data):
+        specs = data.draw(_spec_roster(max_window=capacity))
+        steps = data.draw(
+            st.lists(
+                # (update, buckets to advance): one sample per bucket
+                st.tuples(_update, st.integers(1, capacity)),
+                min_size=1,
+                max_size=40,
+            )
+        )
+        registry = MetricsRegistry()
+        recorder = TimeSeriesRecorder(registry, bucket_width=3, capacity=capacity)
+        twin = TimeSeriesRecorder(registry, bucket_width=3, capacity=512)
+        engine = SLOEngine(recorder, specs)
+        polled: dict[str, list[dict]] = {spec.name: [] for spec in specs}
+        bucket = 0
+        for update, advance in steps:
+            _apply(registry, update)
+            recorder.sample(bucket * 3)
+            twin.sample(bucket * 3)
+            for alert in engine.poll():
+                polled[alert.slo].append(alert.to_dict())
+            bucket += advance
+        report = SLOEngine(twin, specs).evaluate()
+        assert twin.dropped == 0
+        for spec in specs:
+            assert polled[spec.name] == report["slos"][spec.name]["alerts"]
 
 
 # ---------------------------------------------------------------------------

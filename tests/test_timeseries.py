@@ -72,6 +72,21 @@ class TestSampling:
         assert sums.tolist() == [105.0, 7.0]
         assert recorder.histogram_view("missing") is None
 
+    def test_slot_tables_are_live_until_the_layout_changes(self):
+        registry, recorder = _recorder()
+        registry.inc("writes_total", 2, kind="ok")
+        recorder.sample(0)
+        layout = recorder.layout_version
+        (table,) = recorder.slot_tables("counter", "writes_total", {"kind": "ok"})
+        registry.inc("writes_total", 3, kind="ok")
+        recorder.sample(10)         # existing series: same table, same layout
+        assert recorder.layout_version == layout
+        assert table[:2].tolist() == [2, 3]
+        registry.inc("writes_total", 1, kind="lost")
+        recorder.sample(20)         # a new series changes the layout
+        assert recorder.layout_version > layout
+        assert len(recorder.slot_tables("counter", "writes_total", {})) == 2
+
     def test_rate_view_divides_by_bucket_width(self):
         registry, recorder = _recorder(width=10)
         registry.inc("reads_total", 5)
