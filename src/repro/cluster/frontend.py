@@ -34,6 +34,11 @@ protocol (one request object per line, one response object per line):
 ``{"cmd": "quit"}``
     End the session.
 
+A line that is not valid JSON gets ``{"ok": false, "error": "bad_json"}``;
+one that is valid JSON but not an object, or longer than the stream
+reader's limit (64 KiB by default), gets ``{"ok": false, "error":
+"bad_request"}``.  Either way the session stays open.
+
 The service core is synchronous and not thread-safe, so every touch of it
 happens on the event loop under one :class:`asyncio.Lock`; concurrency
 lives in the sessions, the per-array drainers, and the maintenance loop
@@ -80,6 +85,42 @@ def decode_payload(text: str, block_bits: int) -> np.ndarray:
             f"payload encodes {len(raw) * 8} bits; expected {block_bits}"
         )
     return np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:block_bits]
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes | None:
+    """The next protocol line: ``b""`` at end of stream, ``None`` for a
+    line over the reader's buffer limit.  An oversized line is discarded
+    through its newline so the session can go on."""
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as error:
+        return error.partial  # a last line without newline, or b"" at EOF
+    except asyncio.LimitOverrunError as error:
+        overrun = error.consumed
+    while True:
+        await reader.readexactly(overrun)  # buffered bytes before any newline
+        try:
+            await reader.readuntil(b"\n")
+            return None
+        except asyncio.IncompleteReadError:
+            return None
+        except asyncio.LimitOverrunError as error:
+            overrun = error.consumed
+
+
+def _parse_request(line: bytes | None) -> tuple[dict | None, dict | None]:
+    """Decode one protocol line into ``(request, None)``, or ``(None,
+    error response)`` when the line is not a JSON object."""
+    if line is None:
+        return None, {"ok": False, "error": "bad_request", "detail": "line too long"}
+    try:
+        request = json.loads(line)
+    except json.JSONDecodeError as error:
+        return None, {"ok": False, "error": "bad_json", "detail": str(error)}
+    if not isinstance(request, dict):
+        detail = f"request must be a JSON object, got {type(request).__name__}"
+        return None, {"ok": False, "error": "bad_request", "detail": detail}
+    return request, None
 
 
 class ClusterFrontend:
@@ -217,15 +258,12 @@ class ClusterFrontend:
         tenant_id: str | None = None
         try:
             while True:
-                line = await reader.readline()
-                if not line:
+                line = await _read_line(reader)
+                if line == b"":
                     break
-                try:
-                    request = json.loads(line)
-                except json.JSONDecodeError as error:
-                    response: dict = {"ok": False, "error": "bad_json", "detail": str(error)}
-                else:
-                    if isinstance(request, dict) and request.get("cmd") == "watch":
+                request, response = _parse_request(line)
+                if request is not None:
+                    if request.get("cmd") == "watch":
                         # the one streaming command: multiple lines out
                         await self._handle_watch(request, writer)
                         continue

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.aegis_rw import classify_faults
-from repro.core.collision import CollisionROM, collision_rom_for
+from repro.core.aegis_rw import classify_faults, rw_poisoned_mask
+from repro.core.collision import CollisionROM, collision_rom_for, first_free_slope
 from repro.core.formations import Formation, aegis_rw_hard_ftc
 from repro.core.partition import AegisPartition, partition_for
 from repro.errors import UncorrectableError
@@ -84,13 +84,14 @@ class AegisDoubleWriteScheme(RecoveryScheme):
         receipt = WriteReceipt()
         faults = self._discover_faults(data, receipt)
         wrong, right = classify_faults(faults, data)
-        slope = self.rom.find_rw_slope(wrong, right, start=self.slope)
-        if slope is None:
+        found = first_free_slope(rw_poisoned_mask(self.rom, wrong, right), self.slope)
+        if found is None:
             raise UncorrectableError(
                 f"{self.name}: every slope mixes W and R faults "
                 f"({len(wrong)} W, {len(right)} R)",
                 fault_offsets=tuple(sorted(faults)),
             )
+        slope, _ = found
         self.slope = slope
         self.inversion[:] = 0
         self.inversion[self.partition.groups_hit(slope, wrong)] = 1

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.collision import CollisionROM, collision_rom_for
+from repro.core.collision import CollisionROM, collision_rom_for, first_free_slope
 from repro.core.formations import Formation, aegis_rw_hard_ftc
 from repro.core.partition import AegisPartition, partition_for
 from repro.errors import UncorrectableError
@@ -42,6 +42,13 @@ def classify_faults(
     wrong = [o for o, stuck in faults.items() if stuck != int(data[o])]
     right = [o for o, stuck in faults.items() if stuck == int(data[o])]
     return wrong, right
+
+
+def rw_poisoned_mask(rom: CollisionROM, wrong: list[int], right: list[int]) -> np.ndarray:
+    """``(B,)`` mask of the slopes on which some W fault shares a group
+    with some R fault."""
+    split = np.arange(len(wrong) + len(right)) < len(wrong)
+    return rom.poisoned_mask(wrong + right, split)[0]
 
 
 class AegisRwScheme(RecoveryScheme):
@@ -108,13 +115,14 @@ class AegisRwScheme(RecoveryScheme):
         poisoned."""
         faults = self.knowledge.known_faults(self.cells)
         wrong, right = classify_faults(faults, data)
-        slope = self.rom.find_rw_slope(wrong, right, start=self.slope)
-        if slope is None:
+        found = first_free_slope(rw_poisoned_mask(self.rom, wrong, right), self.slope)
+        if found is None:
             raise UncorrectableError(
                 f"{self.name}: every slope mixes W and R faults "
                 f"({len(wrong)} W, {len(right)} R)",
                 fault_offsets=tuple(sorted(faults)),
             )
+        slope, _ = found
         return slope, self.partition.groups_hit(slope, wrong)
 
     def _encode_write(self, data: np.ndarray) -> WriteReceipt:

@@ -24,16 +24,44 @@ number of pointers can compromise reliability in terms of soft FTC").
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
-from repro.core.aegis_rw import classify_faults
-from repro.core.collision import CollisionROM, collision_rom_for
+from repro.core.aegis_rw import classify_faults, rw_poisoned_mask
+from repro.core.collision import CollisionROM, collision_rom_for, free_slopes
 from repro.core.formations import Formation, aegis_rw_hard_ftc
 from repro.core.partition import AegisPartition, partition_for
 from repro.errors import ConfigurationError, UncorrectableError
 from repro.pcm.cell import CellArray
 from repro.schemes.base import FaultKnowledge, OracleKnowledge, RecoveryScheme, WriteReceipt
 from repro.util.bitops import ceil_log2
+
+
+def fit_pointer_budget(
+    partition: AegisPartition,
+    poisoned: np.ndarray,
+    wrong: Sequence[int],
+    right: Sequence[int],
+    pointers: int,
+    start: int = 0,
+) -> tuple[int, list[int], bool] | None:
+    """The Aegis-rw-p pointer-budget search.
+
+    Walks the unpoisoned slopes from ``start`` (wrapping) to the first one
+    whose W groups (W mode) or, failing that, R groups (R mode) fit within
+    ``pointers``.  Returns ``(slope, pointed groups, block_inverted)``, or
+    ``None`` when no unpoisoned slope fits the budget.
+    """
+    walk = free_slopes(poisoned, start)
+    fits_w = partition.group_counts(walk, wrong) <= pointers
+    fits = np.flatnonzero(fits_w | (partition.group_counts(walk, right) <= pointers))
+    if fits.size == 0:
+        return None
+    slope = int(walk[fits[0]])
+    if fits_w[fits[0]]:
+        return slope, partition.groups_hit(slope, wrong), False
+    return slope, partition.groups_hit(slope, right), True
 
 
 class AegisRwPScheme(RecoveryScheme):
@@ -118,20 +146,10 @@ class AegisRwPScheme(RecoveryScheme):
         """
         faults = self.knowledge.known_faults(self.cells)
         wrong, right = classify_faults(faults, data)
-        if not wrong:
-            return self.slope, [], False
-        poisoned = {int(s) for s in self.rom.poisoned_slopes(wrong, right)}
-        b_size = self.formation.b_size
-        for trial in range(b_size):
-            slope = (self.slope + trial) % b_size
-            if slope in poisoned:
-                continue
-            w_groups = self.partition.groups_hit(slope, wrong)
-            if len(w_groups) <= self.pointers:
-                return slope, w_groups, False
-            r_groups = self.partition.groups_hit(slope, right)
-            if len(r_groups) <= self.pointers:
-                return slope, r_groups, True
+        poisoned = rw_poisoned_mask(self.rom, wrong, right)
+        plan = fit_pointer_budget(self.partition, poisoned, wrong, right, self.pointers, self.slope)
+        if plan is not None:
+            return plan
         raise UncorrectableError(
             f"{self.name}: no slope fits {len(wrong)} W / {len(right)} R faults "
             f"within {self.pointers} pointers",

@@ -10,7 +10,10 @@ controllers and Monte Carlo simulators are O(1) array lookups:
   of groups (the Figure 4 inversion-mask ROM);
 * ``find_separating_slope`` — the re-partition walk of §2.2: starting from
   the current slope-counter value, advance until a configuration is found
-  in which all given fault offsets occupy distinct groups.
+  in which all given fault offsets occupy distinct groups (the walk over
+  the all-pairs poisoned mask of :mod:`repro.core.collision`);
+* ``group_counts`` — how many distinct groups a fault set hits under each
+  of several slopes (the Aegis-rw-p pointer budget).
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from repro.core.collision import collision_rom_for, first_free_slope
 from repro.core.geometry import Rectangle
 
 
@@ -93,15 +97,8 @@ class AegisPartition:
         ``None`` when no configuration separates the faults — the block is
         unrecoverable for plain Aegis.
         """
-        offs = np.fromiter(offsets, dtype=np.int64)
-        if offs.size <= 1:
-            return start % self.rect.b_size, 1
-        for trial in range(self.rect.b_size):
-            slope = (start + trial) % self.rect.b_size
-            ids = self._table[slope, offs]
-            if len(np.unique(ids)) == ids.size:
-                return slope, trial + 1
-        return None
+        poisoned = collision_rom_for(self.rect).poisoned_mask(offsets)[0]
+        return first_free_slope(poisoned, start)
 
     def groups_hit(self, slope: int, offsets: Iterable[int]) -> list[int]:
         """Sorted distinct group IDs containing any of ``offsets``."""
@@ -109,6 +106,14 @@ class AegisPartition:
         if offs.size == 0:
             return []
         return [int(g) for g in np.unique(self._table[slope, offs])]
+
+    def group_counts(self, slopes: np.ndarray, offsets: Iterable[int]) -> np.ndarray:
+        """Number of distinct groups ``offsets`` hit under each of ``slopes``."""
+        offs = np.fromiter(offsets, dtype=np.int64)
+        if offs.size == 0:
+            return np.zeros(len(slopes), dtype=np.int64)
+        ids = np.sort(self._table[np.ix_(slopes, offs)], axis=1)
+        return 1 + np.count_nonzero(ids[:, 1:] != ids[:, :-1], axis=1)
 
 
 @lru_cache(maxsize=None)

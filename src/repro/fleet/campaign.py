@@ -350,11 +350,17 @@ def read_checkpoint(path: str) -> tuple[dict, CampaignAggregate]:
     meta: dict | None = None
     state: dict = {}
     with open(path) as handle:
-        for line in handle:
+        for number, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as error:
+                raise ConfigurationError(
+                    f"checkpoint {path} line {number} is not valid JSON "
+                    f"(truncated write?): {error}"
+                ) from error
             kind = record.pop("record", None)
             if kind == "meta":
                 meta = record

@@ -11,10 +11,10 @@ simulated as flat numpy arrays:
   of the endurance distribution are sampled directly (uniform spacings
   through the inverse CDF) together with ``k`` distinct fault positions —
   memory stays at tens of MB for 131 072 blocks;
-* Aegis survival is the poisoned-slope condition maintained as per-block
-  ``uint64`` bitmasks: at arrival ``f``, the collision slopes of the new
-  fault against each earlier fault are table lookups vectorised across
-  all blocks;
+* Aegis survival is the poisoned-slope condition maintained as the
+  collision ROM's per-block ``uint64`` bitsets (B <= 63): at arrival
+  ``f``, the collision slopes of the new fault against each earlier fault
+  are table lookups vectorised across all blocks;
 * page death is the earliest block death time within each page.
 
 Limitations (by design, documented): no inversion-wear amplification and
@@ -124,25 +124,17 @@ def _aegis_death_index(
 ) -> np.ndarray:
     """Fault index (1-based) at which each block dies under plain Aegis:
     the first arrival that completes the poisoned-slope set."""
-    if form.b_size > 63:
-        raise ConfigurationError("batch Aegis supports B <= 63 (uint64 bitmask)")
-    rom = collision_rom_for(form.rect)._table
+    rom = collision_rom_for(form.rect)
     n_blocks, max_faults = positions.shape
-    poisoned = np.zeros(n_blocks, dtype=np.uint64)
-    full = np.uint64((1 << form.b_size) - 1)
     death = np.full(n_blocks, max_faults + 1, dtype=np.int64)
-    alive = np.ones(n_blocks, dtype=bool)
+    # the still-living blocks and their poisoned-slope bitsets
+    live = np.arange(n_blocks)
+    poisoned = np.zeros(n_blocks, dtype=np.uint64)
     for f in range(1, max_faults):
-        new = positions[:, f]
-        for j in range(f):
-            slopes = rom[new, positions[:, j]].astype(np.int64)
-            hit = slopes >= 0
-            bits = np.zeros(n_blocks, dtype=np.uint64)
-            bits[hit] = np.uint64(1) << slopes[hit].astype(np.uint64)
-            poisoned |= bits
-        newly_dead = alive & (poisoned == full)
-        death[newly_dead] = f + 1  # this arrival is the fatal fault
-        alive &= ~newly_dead
+        poisoned |= rom.slope_bits(positions[live, f], positions[live, :f])
+        dead = poisoned == rom.all_slope_bits
+        death[live[dead]] = f + 1  # this arrival is the fatal fault
+        live, poisoned = live[~dead], poisoned[~dead]
     return death
 
 

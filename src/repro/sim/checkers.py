@@ -35,7 +35,8 @@ from typing import Protocol
 
 import numpy as np
 
-from repro.core.collision import NO_COLLISION, collision_rom_for
+from repro.core.aegis_rw_p import fit_pointer_budget
+from repro.core.collision import collision_rom_for, first_free_slope
 from repro.core.geometry import Rectangle
 from repro.core.partition import partition_for
 from repro.errors import ConfigurationError
@@ -103,43 +104,30 @@ class AegisChecker:
         self._rom = collision_rom_for(rect)
         self._partition = partition_for(rect)
         self.fault_offsets: list[int] = []
-        # the offsets again, in a preallocated growable buffer: the ROM row
-        # lookup below needs an int64 array every arrival, and rebuilding it
-        # from the list is O(f) per fault (O(f^2) per trial)
-        self._offset_buffer = np.empty(16, dtype=np.int64)
-        self.poisoned: set[int] = set()
+        self.poisoned = np.zeros(rect.b_size, dtype=bool)
+        # the lowest unpoisoned slope (the configuration a controller would
+        # settle on); it only moves up, as the poisoned set only grows
+        self.slope = 0
         self.alive = True
 
     def add_fault(self, offset: int, stuck_value: int) -> bool:
         if not self.alive:
             return False
-        count = len(self.fault_offsets)
-        if count:
-            slopes = self._rom._table[offset, self._offset_buffer[:count]]
-            self.poisoned.update(int(s) for s in slopes if s != NO_COLLISION)
-        if count == self._offset_buffer.shape[0]:
-            grown = np.empty(2 * count, dtype=np.int64)
-            grown[:count] = self._offset_buffer
-            self._offset_buffer = grown
-        self._offset_buffer[count] = offset
         self.fault_offsets.append(offset)
-        self.alive = len(self.poisoned) < self.rect.b_size
+        since = len(self.fault_offsets) - 1
+        self.poisoned |= self._rom.poisoned_mask(self.fault_offsets, since=since)[0]
+        if self.poisoned[self.slope]:
+            found = first_free_slope(self.poisoned, self.slope)
+            self.alive = found is not None
+            if found is not None:
+                self.slope = found[0]
         return self.alive
 
-    def current_slope(self) -> int | None:
-        """Lowest unpoisoned slope (the configuration a controller would
-        settle on), or ``None`` when dead."""
-        for slope in range(self.rect.b_size):
-            if slope not in self.poisoned:
-                return slope
-        return None
-
     def group_members(self, offset: int) -> np.ndarray:
-        slope = self.current_slope()
-        if slope is None:
+        if not self.alive:
             return np.empty(0, dtype=np.int64)
-        group = self._partition.group_of(offset, slope)
-        return self._partition.members_array(group, slope)
+        group = self._partition.group_of(offset, self.slope)
+        return self._partition.members_array(group, self.slope)
 
 
 # ---------------------------------------------------------------------------
@@ -167,49 +155,25 @@ class AegisRwChecker:
         self.rng = rng
         self.samples = samples
         self._rom = collision_rom_for(rect)
-        self._partition = partition_for(rect)
         self.fault_offsets: list[int] = []
         self.alive = True
-
-    def _pair_matrix(self) -> np.ndarray:
-        offs = np.asarray(self.fault_offsets, dtype=np.int64)
-        return self._rom._table[np.ix_(offs, offs)]
 
     def add_fault(self, offset: int, stuck_value: int) -> bool:
         if not self.alive:
             return False
         self.fault_offsets.append(offset)
         f = len(self.fault_offsets)
-        b = self.rect.b_size
         # max cross pairs over any W/R split; below B no pattern can fail
-        if (f // 2) * ((f + 1) // 2) < b:
+        if (f // 2) * ((f + 1) // 2) < self.rect.b_size:
             return True
-        matrix = self._pair_matrix()
-        wrong = _draw_patterns(self.rng, self.samples, f).astype(bool)
-        self.alive = not _any_pattern_covers_all_slopes(matrix, wrong, b)
+        wrong = _draw_patterns(self.rng, self.samples, f)
+        poisoned = self._rom.poisoned_mask(self.fault_offsets, wrong)
+        self.alive = not poisoned.all(axis=1).any()
         return self.alive
 
     def group_members(self, offset: int) -> np.ndarray:
         """Aegis-rw performs single-pass writes (no extra inversion wear)."""
         return np.empty(0, dtype=np.int64)
-
-
-def _any_pattern_covers_all_slopes(
-    matrix: np.ndarray, wrong: np.ndarray, b_size: int
-) -> bool:
-    """True when some sampled W/R split poisons every slope.
-
-    ``matrix`` is the f x f pairwise collision-slope table; ``wrong`` is a
-    (samples, f) boolean W-mask per pattern.
-    """
-    cross = wrong[:, :, None] ^ wrong[:, None, :]
-    valid = matrix >= 0
-    k_idx, i_idx, j_idx = np.nonzero(cross & valid[None, :, :])
-    if k_idx.size == 0:
-        return False
-    poisoned = np.zeros((wrong.shape[0], b_size), dtype=bool)
-    poisoned[k_idx, matrix[i_idx, j_idx]] = True
-    return bool(poisoned.all(axis=1).any())
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +185,11 @@ class AegisRwPChecker:
     """Sampled survival for Aegis-rw-p with a ``p``-pointer budget.
 
     A pattern is recoverable iff some unpoisoned slope exists at which the
-    W-fault groups or the R-fault groups fit within ``p`` pointers.  Fast
-    paths: patterns with ``min(f_W, f_R) <= p`` succeed at any unpoisoned
-    slope (group count <= fault count), so the expensive per-slope group
-    counting only runs for patterns where both sides exceed the budget.
+    W-fault groups or the R-fault groups fit within ``p`` pointers.  The
+    poisoned masks of all sampled patterns come from one batched call.
+    Fast path: patterns with ``min(f_W, f_R) <= p`` succeed at any
+    unpoisoned slope (group count <= fault count), so the pointer-budget
+    search only runs for patterns where both sides exceed the budget.
     """
 
     def __init__(
@@ -250,50 +215,20 @@ class AegisRwPChecker:
             return False
         self.fault_offsets.append(offset)
         f = len(self.fault_offsets)
-        b = self.rect.b_size
-        if f <= self.pointers and (f // 2) * ((f + 1) // 2) < b:
+        if f <= self.pointers and (f // 2) * ((f + 1) // 2) < self.rect.b_size:
             return True  # every split fits the budget and leaves a free slope
         offs = np.asarray(self.fault_offsets, dtype=np.int64)
-        matrix = self._rom._table[np.ix_(offs, offs)]
-        # fault group IDs under every slope: (B, f)
-        groups = self._partition._table[:, offs]
         wrong = _draw_patterns(self.rng, self.samples, f).astype(bool)
-        for pattern in wrong:
-            if not self._pattern_recoverable(matrix, groups, pattern, b):
-                self.alive = False
-                return False
-        return True
-
-    def _pattern_recoverable(
-        self,
-        matrix: np.ndarray,
-        groups: np.ndarray,
-        wrong: np.ndarray,
-        b_size: int,
-    ) -> bool:
-        f_w = int(wrong.sum())
-        f_r = wrong.size - f_w
-        if f_w == 0:
-            return True  # nothing to invert
-        # poisoned slopes of this split
-        cross = wrong[:, None] ^ wrong[None, :]
-        slopes = matrix[cross & (matrix >= 0)]
-        poisoned = np.zeros(b_size, dtype=bool)
-        poisoned[slopes] = True
-        unpoisoned = np.flatnonzero(~poisoned)
-        if unpoisoned.size == 0:
-            return False
-        if min(f_w, f_r) <= self.pointers:
-            return True  # any unpoisoned slope fits
-        # count distinct W groups and R groups per unpoisoned slope
-        w_groups = groups[np.ix_(unpoisoned, np.flatnonzero(wrong))]
-        r_groups = groups[np.ix_(unpoisoned, np.flatnonzero(~wrong))]
-        for w_row, r_row in zip(w_groups, r_groups):
-            if len(np.unique(w_row)) <= self.pointers:
-                return True
-            if len(np.unique(r_row)) <= self.pointers:
-                return True
-        return False
+        poisoned = self._rom.poisoned_mask(offs, wrong)
+        f_w = wrong.sum(axis=1)
+        self.alive = not poisoned.all(axis=1).any() and all(
+            fit_pointer_budget(
+                self._partition, poisoned[k], offs[wrong[k]], offs[~wrong[k]], self.pointers
+            )
+            is not None
+            for k in np.flatnonzero(np.minimum(f_w, f - f_w) > self.pointers)
+        )
+        return self.alive
 
     def group_members(self, offset: int) -> np.ndarray:
         """Single-pass writes: no extra inversion wear."""
@@ -653,7 +588,6 @@ class AegisDynamicChecker:
         self.rect = rect
         self.rng = rng
         self.samples = samples
-        self._rom = collision_rom_for(rect)
         self._partition = partition_for(rect)
         self.fault_offsets: list[int] = []
         self.stuck_values: list[int] = []

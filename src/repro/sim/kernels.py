@@ -50,7 +50,7 @@ from itertools import combinations
 
 import numpy as np
 
-from repro.core.collision import collision_rom_for
+from repro.core.collision import MAX_SLOPE_BITS, collision_rom_for
 from repro.core.formations import formation
 from repro.core.partition import partition_for
 from repro.errors import ConfigurationError
@@ -61,12 +61,7 @@ from repro.util.bitops import ceil_log2
 #: valid values of the public ``engine`` switch
 ENGINES = ("auto", "vector", "scalar")
 
-#: the Aegis kernel tracks poisoned slopes in a per-trial uint64 bitset
-MAX_SLOPE_BITS = 63
-
 _NORMAL, _ACCELERATED, _DEAD = 0, 1, 2
-
-_ONE = np.uint64(1)
 
 
 def kernel_supported(spec) -> bool:
@@ -218,9 +213,9 @@ class _BatchChecker:
 class _AegisBatch(_BatchChecker):
     """Vectorized :class:`~repro.sim.checkers.AegisChecker`.
 
-    Theorem 2: each fault pair poisons exactly one slope, read off the
-    shared collision ROM by fancy indexing; a trial's poisoned set is a
-    uint64 bitset and the block dies when all ``B`` bits are set.
+    Theorem 2: each fault pair poisons exactly one slope; a trial's
+    poisoned set is the collision ROM's uint64 row bitset and the block
+    dies when all ``B`` bits are set.
     """
 
     needs_history = True
@@ -229,11 +224,9 @@ class _AegisBatch(_BatchChecker):
     def __init__(self, a_size: int, b_size: int, n_bits: int, n_trials: int) -> None:
         super().__init__(n_bits, n_trials)
         form = formation(a_size, b_size, n_bits)
-        self._rom = collision_rom_for(form.rect)._table
+        self._rom = collision_rom_for(form.rect)
         self._part = partition_for(form.rect)._table
-        self.b_size = b_size
         self.poisoned = np.zeros(n_trials, dtype=np.uint64)
-        self._full = np.uint64((1 << b_size) - 1)
         # inverse partition: (slope, group) -> member cells, -1-padded;
         # groups are tiny (~a_size cells), which is what makes the sparse
         # wear path worthwhile
@@ -255,34 +248,19 @@ class _AegisBatch(_BatchChecker):
     def add_faults(self, offsets: np.ndarray, active: np.ndarray) -> np.ndarray:
         prior = self._push(offsets)
         if prior:
-            slopes = self._rom[offsets[:, None], self._hist[:, :prior]]
-            valid = slopes >= 0
-            shifts = np.where(valid, slopes, 0).astype(np.uint64)
-            bits = np.bitwise_or.reduce(
-                np.where(valid, _ONE << shifts, np.uint64(0)), axis=1
-            )
+            bits = self._rom.slope_bits(offsets, self._hist[:, :prior])
             self.poisoned = np.where(active, self.poisoned | bits, self.poisoned)
-        self.alive &= ~(active & (self.poisoned == self._full))
+        self.alive &= ~(active & (self.poisoned == self._rom.all_slope_bits))
         return self.alive
 
-    def _current_slope(self) -> np.ndarray:
-        """Each trial's recovery slope: the lowest unpoisoned one."""
-        unpoisoned = ~self.poisoned & self._full
-        lowest = unpoisoned & (np.uint64(0) - unpoisoned)
-        return np.where(
-            unpoisoned > 0,
-            np.bitwise_count(lowest - _ONE),
-            0,
-        ).astype(np.int64)
-
     def member_masks(self, offsets: np.ndarray) -> np.ndarray:
-        slope = self._current_slope()
+        slope = self._rom.lowest_free_slope(self.poisoned)
         rows = self._part[slope]  # (trials, n_bits) group ids at each slope
         group = rows[np.arange(self.n_trials), offsets]
         return rows == group[:, None]
 
     def member_cols(self, offsets: np.ndarray) -> np.ndarray:
-        slope = self._current_slope()
+        slope = self._rom.lowest_free_slope(self.poisoned)
         return self._members[slope, self._part[slope, offsets]]
 
 

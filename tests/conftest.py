@@ -32,3 +32,20 @@ def form_23x23():
 
 def random_data(rng: np.random.Generator, n_bits: int) -> np.ndarray:
     return rng.integers(0, 2, size=n_bits, dtype=np.uint8)
+
+
+def budget_walk(rect, wrong, right, pointers, start=0):
+    """The pointer-budget search written out slope by slope from the
+    definitions: skip slopes where a W and an R fault share a group, take
+    the first whose W groups, or else R groups, fit the budget."""
+    for trial in range(rect.b_size):
+        slope = (start + trial) % rect.b_size
+        w_groups = sorted({rect.group_of(o, slope) for o in wrong})
+        r_groups = sorted({rect.group_of(o, slope) for o in right})
+        if set(w_groups) & set(r_groups):
+            continue
+        if len(w_groups) <= pointers:
+            return slope, w_groups, False
+        if len(r_groups) <= pointers:
+            return slope, r_groups, True
+    return None

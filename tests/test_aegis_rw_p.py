@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.core.aegis_rw_p import AegisRwPScheme
+from repro.core.aegis_rw import rw_poisoned_mask
+from repro.core.aegis_rw_p import AegisRwPScheme, fit_pointer_budget
+from repro.core.collision import collision_rom_for
 from repro.core.formations import formation
+from repro.core.partition import partition_for
 from repro.errors import ConfigurationError, UncorrectableError
 from repro.pcm.cell import CellArray
 from repro.schemes.base import roundtrip
-from tests.conftest import random_data
+from tests.conftest import budget_walk, random_data
 
 
 def make_scheme(n_bits=512, a=9, b=61, pointers=9, faults=()):
@@ -105,3 +108,26 @@ class TestFailure:
             payload = random_data(rng, 512)
             scheme.write(payload)
             assert np.array_equal(scheme.read(), payload)
+
+
+class TestPointerBudgetSearch:
+    @pytest.mark.parametrize("a,b,pointers", [(23, 23, 2), (17, 31, 5), (9, 61, 9), (8, 71, 4)])
+    def test_matches_slope_by_slope_walk(self, a, b, pointers):
+        form = formation(a, b, 512)
+        partition = partition_for(form.rect)
+        rom = collision_rom_for(form.rect)
+        stream = np.random.default_rng(b * 100 + pointers)
+        outcomes = set()
+        for _ in range(40):
+            count = int(stream.integers(1, 30))
+            offsets = [int(o) for o in stream.choice(512, size=count, replace=False)]
+            is_wrong = stream.integers(0, 2, len(offsets)).astype(bool)
+            wrong = [o for o, w in zip(offsets, is_wrong) if w]
+            right = [o for o, w in zip(offsets, is_wrong) if not w]
+            start = int(stream.integers(0, b))
+            found = fit_pointer_budget(
+                partition, rw_poisoned_mask(rom, wrong, right), wrong, right, pointers, start
+            )
+            assert found == budget_walk(form.rect, wrong, right, pointers, start)
+            outcomes.add(None if found is None else found[2])
+        assert outcomes == {None, False, True}  # both modes and failure seen

@@ -20,7 +20,8 @@ import numpy as np
 import pytest
 
 from repro.core.aegis import AegisScheme
-from repro.core.aegis_rw import AegisRwScheme
+from repro.core.aegis_rw import AegisRwScheme, rw_poisoned_mask
+from repro.core.collision import collision_rom_for, first_free_slope
 from repro.core.formations import formation
 from repro.core.geometry import rectangle_for
 from repro.errors import UncorrectableError
@@ -31,6 +32,7 @@ from repro.sim.checkers import (
     AegisChecker,
     AegisDynamicChecker,
     AegisRwChecker,
+    AegisRwPChecker,
     EcpChecker,
     HammingChecker,
     NoProtectionChecker,
@@ -39,7 +41,7 @@ from repro.sim.checkers import (
     SaferIncrementalChecker,
     _any_rdis_failure,
 )
-from tests.conftest import random_data
+from tests.conftest import budget_walk, random_data
 
 
 def feed_faults(checker, faults):
@@ -116,8 +118,11 @@ class TestAegisChecker:
         rect = rectangle_for(512, 61)
         checker = AegisChecker(rect)
         checker.add_fault(100, 0)
+        checker.add_fault(101, 0)  # same row: poisons slope 0
         members = checker.group_members(100)
-        slope = checker.current_slope()
+        found = first_free_slope(checker.poisoned)
+        assert found == (1, 2)
+        slope, _ = found
         group = rect.group_of(100, slope)
         assert set(int(m) for m in members) == set(rect.group_members(group, slope))
 
@@ -195,39 +200,74 @@ class TestSaferCheckers:
 
 class TestSampledCheckers:
     def test_aegis_rw_checker_agrees_with_rom_condition(self, rng):
-        """For a fixed fault set and pattern, the checker's per-pattern
-        predicate must equal 'some slope has no W/R mixing'."""
+        """Replaying the checker's own pattern draws, it dies exactly when
+        some drawn pattern leaves no slope free of W/R mixing."""
         rect = rectangle_for(512, 23)
-        checker = AegisRwChecker(rect, rng, samples=4)
-        offsets = [int(o) for o in rng.choice(512, size=18, replace=False)]
-        for offset in offsets:
-            checker.add_fault(offset, 0)
-        from repro.core.collision import collision_rom_for
-        from repro.sim.checkers import _any_pattern_covers_all_slopes
+        seed = int(rng.integers(2**31))
+        checker = AegisRwChecker(rect, np.random.default_rng(seed), samples=4)
+        replay = np.random.default_rng(seed)
+        offsets = np.array([int(o) for o in rng.choice(512, size=60, replace=False)])
+        for f in range(1, offsets.size + 1):
+            alive = checker.add_fault(int(offsets[f - 1]), 0)
+            if (f // 2) * ((f + 1) // 2) < rect.b_size:
+                assert alive  # too few cross pairs to poison every slope
+                continue
+            patterns = replay.integers(0, 2, size=(4, f), dtype=np.uint8).astype(bool)
+            expected = all(
+                any(
+                    not set(rect.group_of(int(w), k) for w in offsets[:f][p])
+                    & set(rect.group_of(int(r), k) for r in offsets[:f][~p])
+                    for k in range(rect.b_size)
+                )
+                for p in patterns
+            )
+            assert alive == expected
+            if not alive:
+                break
+        assert not checker.alive
 
-        rom = collision_rom_for(rect)
-        offs = np.asarray(checker.fault_offsets)
-        matrix = rom._table[np.ix_(offs, offs)]
-        for _ in range(30):
-            wrong = rng.integers(0, 2, size=(1, offs.size), dtype=np.uint8).astype(bool)
-            fails = _any_pattern_covers_all_slopes(matrix, wrong, rect.b_size)
-            w = [int(o) for o, flag in zip(offs, wrong[0]) if flag]
-            r = [int(o) for o, flag in zip(offs, wrong[0]) if not flag]
-            assert fails == (rom.find_rw_slope(w, r) is None)
+    @pytest.mark.parametrize("b_size,pointers", [(23, 2), (61, 6)])
+    def test_aegis_rw_p_checker_agrees_with_budget_walk(self, rng, b_size, pointers):
+        """Replaying the checker's own pattern draws, it dies exactly when
+        some drawn pattern fails the slope-by-slope pointer-budget walk."""
+        rect = rectangle_for(512, b_size)
+        seed = int(rng.integers(2**31))
+        checker = AegisRwPChecker(rect, pointers, np.random.default_rng(seed), samples=8)
+        replay = np.random.default_rng(seed)
+        offsets = np.array([int(o) for o in rng.choice(512, size=80, replace=False)])
+        for f in range(1, offsets.size + 1):
+            alive = checker.add_fault(int(offsets[f - 1]), 0)
+            if f <= pointers and (f // 2) * ((f + 1) // 2) < b_size:
+                assert alive  # every split fits: no draw
+                continue
+            patterns = replay.integers(0, 2, size=(8, f), dtype=np.uint8).astype(bool)
+            faults = offsets[:f].tolist()
+            expected = all(
+                budget_walk(
+                    rect,
+                    [o for o, w in zip(faults, p) if w],
+                    [o for o, w in zip(faults, p) if not w],
+                    pointers,
+                )
+                is not None
+                for p in patterns
+            )
+            assert alive == expected
+            if not alive:
+                break
+        assert not checker.alive
 
     def test_aegis_rw_controller_agrees_per_pattern(self, rng):
         """Pattern-level agreement with the real Aegis-rw controller."""
         form = formation(23, 23, 512)
         offsets = [int(o) for o in rng.choice(512, size=16, replace=False)]
         stuck = {o: int(rng.integers(0, 2)) for o in offsets}
-        from repro.core.collision import collision_rom_for
-
         rom = collision_rom_for(form.rect)
         for _ in range(20):
             data = random_data(rng, 512)
             wrong = [o for o in offsets if stuck[o] != data[o]]
             right = [o for o in offsets if stuck[o] == data[o]]
-            predicted_ok = rom.find_rw_slope(wrong, right) is not None
+            predicted_ok = first_free_slope(rw_poisoned_mask(rom, wrong, right)) is not None
             cells = CellArray(512)
             for o in offsets:
                 cells.inject_fault(o, stuck_value=stuck[o])

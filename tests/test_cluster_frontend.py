@@ -5,6 +5,7 @@ through the bulk queue (see ``repro/cluster/frontend.py``).
 from __future__ import annotations
 
 import asyncio
+import json
 
 import numpy as np
 import pytest
@@ -117,6 +118,46 @@ class TestProtocol:
             response = await client.request(cmd="frobnicate")
             assert not response["ok"] and response["error"] == "unknown_cmd"
             await client.close()
+
+        asyncio.run(with_frontend(scenario))
+
+
+class TestMalformedLines:
+    """Lines the protocol cannot use get a typed reply; the session lives on."""
+
+    @staticmethod
+    async def exchange(writer, reader, raw: bytes) -> dict:
+        writer.write(raw)
+        await writer.drain()
+        return json.loads(await reader.readline())
+
+    @pytest.mark.parametrize("raw", [b"[1, 2]\n", b"3\n", b'"hello"\n', b"null\n"])
+    def test_non_object_json_is_a_bad_request(self, raw):
+        async def scenario(frontend, cluster):
+            reader, writer = await asyncio.open_connection(frontend.host, frontend.port)
+            response = await self.exchange(writer, reader, raw)
+            assert not response["ok"] and response["error"] == "bad_request"
+            hello = await self.exchange(writer, reader, b'{"cmd": "hello", "tenant": "vip"}\n')
+            assert hello["ok"]
+            writer.close()
+            await writer.wait_closed()
+
+        asyncio.run(with_frontend(scenario))
+
+    @pytest.mark.parametrize("size", [70_000, 300_000])
+    def test_oversized_line_is_a_bad_request(self, size):
+        """A line over the 64 KiB reader limit is discarded through its
+        newline, whether it arrives whole or in pieces."""
+
+        async def scenario(frontend, cluster):
+            reader, writer = await asyncio.open_connection(frontend.host, frontend.port)
+            oversized = b'{"cmd": "' + b"x" * size + b'"}\n'
+            response = await self.exchange(writer, reader, oversized)
+            assert not response["ok"] and response["error"] == "bad_request"
+            stats = await self.exchange(writer, reader, b'{"cmd": "stats"}\n')
+            assert stats["ok"]
+            writer.close()
+            await writer.wait_closed()
 
         asyncio.run(with_frontend(scenario))
 

@@ -10,6 +10,7 @@ assertions here cover the whole reduction pipeline at once.
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -292,6 +293,20 @@ class TestCheckpointResume:
         meta2, aggregate2 = read_checkpoint(str(tmp_path / "again.ckpt"))
         assert meta2 == meta
         assert aggregate2.digest() == aggregate.digest()
+
+    def test_truncated_checkpoint_names_path_and_line(self, tmp_path):
+        """A checkpoint cut off mid-line is a typed error, not a raw
+        JSONDecodeError."""
+        path = tmp_path / "fleet.ckpt"
+        run_campaign(SPEC, _ctx(), checkpoint_path=str(path), stop_after_chunks=2)
+        lines = path.read_text().splitlines(keepends=True)
+        assert len(lines) >= 2
+        cut = "".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2]
+        path.write_text(cut)
+        with pytest.raises(ConfigurationError, match=re.escape(f"{path} line {len(lines)} ")):
+            read_checkpoint(str(path))
+        with pytest.raises(ConfigurationError, match="line"):
+            run_campaign(SPEC, _ctx(), checkpoint_path=str(path), resume=True)
 
     def test_checkpoint_version_gate(self, tmp_path):
         path = tmp_path / "old.ckpt"

@@ -8,6 +8,9 @@ checked on randomly generated formations, fault patterns, and data:
    fault placement, stuck values, and data.
 3. The hard-FTC formulas never over-promise: the guarantee bound derived
    from the slope supply is achievable by construction.
+4. Theorem 2 as an oracle: within the hard FTC every checker, batch
+   kernel and controller built on the poisoned-slope arithmetic keeps the
+   block alive, at 9x61 and 8x71.
 """
 
 import numpy as np
@@ -17,12 +20,17 @@ from hypothesis import strategies as st
 from repro.core.aegis import AegisScheme
 from repro.core.aegis_rw import AegisRwScheme
 from repro.core.aegis_rw_p import AegisRwPScheme
+from repro.core.collision import MAX_SLOPE_BITS, collision_rom_for
 from repro.core.formations import aegis_hard_ftc, aegis_rw_hard_ftc, formation
 from repro.core.geometry import rectangle_for
 from repro.pcm.cell import CellArray
 from repro.schemes.ecp import EcpScheme
 from repro.schemes.rdis import RdisScheme
 from repro.schemes.safer import SaferScheme
+from repro.sim.batch import _aegis_death_index
+from repro.sim.checkers import AegisChecker, AegisRwChecker
+from repro.sim.kernels import batch_checker_for
+from repro.sim.roster import aegis_spec
 from repro.util.primes import primes_in_range
 
 #: valid primes for small random rectangles
@@ -228,3 +236,64 @@ class TestSlopeSupplyBound:
         f_next = f + 1
         assert f_next * (f_next - 1) // 2 + 1 > b_size
         assert aegis_rw_hard_ftc(b_size) >= f
+
+
+#: the Theorem-2 oracle formations: one inside the vector kernels' 63-slope
+#: bitset, one beyond it
+ORACLE_FORMATIONS = ((9, 61), (8, 71))
+
+
+@st.composite
+def hard_ftc_faults(draw, hard_ftc):
+    """A formation and exactly ``hard_ftc(B)`` distinct faults with random
+    stuck values."""
+    a_size, b_size = draw(st.sampled_from(ORACLE_FORMATIONS))
+    count = hard_ftc(b_size)
+    offsets = draw(st.lists(st.integers(0, 511), min_size=count, max_size=count, unique=True))
+    stuck = draw(st.lists(st.integers(0, 1), min_size=count, max_size=count))
+    return formation(a_size, b_size, 512), list(zip(offsets, stuck))
+
+
+class TestTheorem2Oracles:
+    """Within the hard FTC no fault set poisons every slope: ``C(f,2)+1 <=
+    B`` for plain Aegis, ``floor(f/2)*ceil(f/2)+1 <= B`` for Aegis-rw.  Every
+    checker, kernel and controller built on the poisoned-slope arithmetic
+    must keep such a block alive."""
+
+    @COMMON_SETTINGS
+    @given(hard_ftc_faults(aegis_hard_ftc), st.integers(0, 2**31))
+    def test_plain_aegis_survives_hard_ftc(self, case, seed):
+        form, faults = case
+        f = len(faults)
+        assert f * (f - 1) // 2 + 1 <= form.b_size
+        offsets = np.array([offset for offset, _ in faults], dtype=np.int64)
+        checker = AegisChecker(form.rect)
+        assert all(checker.add_fault(int(o), 0) for o in offsets)
+        if form.b_size <= MAX_SLOPE_BITS:
+            batch = batch_checker_for(aegis_spec(form.a_size, form.b_size, 512), 2)
+            rows = np.stack([offsets, offsets[::-1]])
+            active = np.ones(2, dtype=bool)
+            for step in range(f):
+                assert batch.add_faults(np.ascontiguousarray(rows[:, step]), active).all()
+            assert (_aegis_death_index(rows, form) > f).all()
+        cells = CellArray(512)
+        for offset, stuck in faults:
+            cells.inject_fault(offset, stuck_value=stuck)
+        exercise(AegisScheme(cells, form), np.random.default_rng(seed))
+
+    @COMMON_SETTINGS
+    @given(hard_ftc_faults(aegis_rw_hard_ftc), st.integers(0, 2**31))
+    def test_aegis_rw_survives_hard_ftc(self, case, seed):
+        form, faults = case
+        f = len(faults)
+        assert (f // 2) * ((f + 1) // 2) + 1 <= form.b_size
+        offsets = [offset for offset, _ in faults]
+        rng = np.random.default_rng(seed)
+        splits = rng.integers(0, 2, size=(64, f)).astype(bool)
+        assert not collision_rom_for(form.rect).poisoned_mask(offsets, splits).all(axis=1).any()
+        checker = AegisRwChecker(form.rect, rng)
+        assert all(checker.add_fault(o, 0) for o in offsets)
+        cells = CellArray(512)
+        for offset, stuck in faults:
+            cells.inject_fault(offset, stuck_value=stuck)
+        exercise(AegisRwScheme(cells, form), rng)
