@@ -7,7 +7,10 @@ so the serving path's performance trajectory is tracked from PR to PR:
   (:func:`repro.service.kernels.drain_vector`) vs the scalar per-row
   pipeline, timing only :meth:`ServiceController.flush` over warm,
   healthy blocks; this is the service layer's kernel contract, gated the
-  same way ``bench_sim.py`` gates its 3x kernel floor;
+  same way ``bench_sim.py`` gates its 3x kernel floor.  An *aged* leg
+  repeats it over blocks with ``AGED_STUCK_CELLS`` pre-planted stuck
+  cells each, so most Aegis rows need an inversion write, and records
+  the share of rows the vector drain still hands to the scalar path;
 * an **engine ladder** — the full ``run_load`` generator at ``workers=1``
   with ``engine="scalar"`` vs ``engine="vector"``, asserting the two
   engines produce byte-identical telemetry snapshots *and* sampled trace
@@ -20,6 +23,9 @@ Usage::
     PYTHONPATH=src python -m benchmarks.bench_service            # measure + write
     PYTHONPATH=src python -m benchmarks.bench_service --check    # also gate
     PYTHONPATH=src python -m benchmarks.bench_service --ops 4000 --workers 1 2
+
+Every drain leg, healthy or aged, must leave the scalar and vector
+engines with identical metrics and cell state, or the run exits 1.
 
 ``--check`` enforces four gates:
 
@@ -39,6 +45,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import platform
 import sys
@@ -83,6 +90,11 @@ BUFFER_CAPACITY = 8
 DRAIN_CAPACITY = 128
 DRAIN_ADDRESSES = 256
 
+#: stuck cells planted per block for the aged drain leg; with random
+#: payloads each is stuck-at-wrong half the time, so ~94% of rows meet at
+#: least one stuck-at-wrong cell
+AGED_STUCK_CELLS = 4
+
 
 def _load(
     spec: SchemeSpec, ops: int, shards: int, workers: int, engine: str
@@ -116,22 +128,32 @@ def _load(
 
 
 def _drain_rate(
-    spec: SchemeSpec, engine: str, rounds: int, series_bucket: int = 0
-) -> tuple[float, dict, float]:
+    spec: SchemeSpec,
+    engine: str,
+    rounds: int,
+    series_bucket: int = 0,
+    stuck_cells: int = 0,
+) -> tuple[float, dict, float, float]:
     """Writes/second through :meth:`ServiceController.flush` alone.
 
-    Warm, healthy blocks (huge fixed endurance, every address touched
-    once up front) so the measurement isolates the drain pipeline — the
-    part the vector engine batches — from first-touch allocation and
-    wear-out escalations, which both engines service through the same
-    scalar rows.  With ``series_bucket > 0`` a
+    Warm blocks (huge fixed endurance, every address touched once up
+    front) so the measurement isolates the drain pipeline — the part the
+    vector engine batches — from first-touch allocation and wear-out
+    escalations, which both engines service through the same scalar
+    rows.  With ``stuck_cells > 0`` each block then gets that many
+    stuck cells at random offsets, frozen at their stored values — an
+    aged array whose rows mostly need recovery work.  With
+    ``series_bucket > 0`` a
     :class:`~repro.obs.TimeSeriesRecorder` samples the metrics registry
     after every flush, inside the timed region, and the time spent inside
     ``sample()`` is accounted separately — the returned overhead fraction
     is ``sample_seconds / drain_seconds``, a direct measurement immune to
-    run-to-run wall-clock noise.  Returns the rate, the final metrics
-    snapshot (so the caller can assert engine/recorder equivalence), and
-    the sampling-overhead fraction (0.0 when no recorder is attached).
+    run-to-run wall-clock noise.  Returns the rate, the final state (the
+    metrics snapshot plus a digest of the cell matrices, so the caller
+    can assert engine/recorder equivalence), the sampling-overhead
+    fraction (0.0 when no recorder is attached), and the share of timed
+    rows serviced by the scalar per-row pipeline (1.0 for the scalar
+    engine).
     """
     rng = rng_for(2013, 0, 41)
     array = MemoryArray(
@@ -156,6 +178,21 @@ def _drain_rate(
     for address in range(DRAIN_ADDRESSES):
         controller.write(address, warm[address])
         controller.flush()
+    if stuck_cells:
+        for address in range(DRAIN_ADDRESSES):
+            cells = array.blocks[array.physical_of(address)].cells
+            for offset in rng.choice(spec.n_bits, stuck_cells, replace=False):
+                cells.inject_fault(int(offset))
+    escalated = 0
+    service_row = controller._service_row
+
+    def counted_service_row(*args):
+        nonlocal escalated
+        escalated += 1
+        return service_row(*args)
+
+    # instance attribute: the drain reaches the scalar path through it
+    controller._service_row = counted_service_row
     payloads = rng.integers(
         0, 2, (rounds, DRAIN_CAPACITY, spec.n_bits), dtype=np.uint8
     )
@@ -175,16 +212,31 @@ def _drain_rate(
             sample_seconds += time.perf_counter() - sampled
         drain_seconds += time.perf_counter() - start
     overhead = sample_seconds / drain_seconds if drain_seconds else 0.0
-    return drained / drain_seconds, array.telemetry.metrics.snapshot(), overhead
+    store = array.store
+    cells = hashlib.sha256()
+    for matrix in (store.stored, store.stuck, store.stuck_value, store.write_counts):
+        cells.update(matrix.tobytes())
+    state = {
+        "metrics": array.telemetry.metrics.snapshot(),
+        "cells": cells.hexdigest(),
+    }
+    return drained / drain_seconds, state, overhead, escalated / drained
 
 
 def _drain_ladder(spec: SchemeSpec, rounds: int) -> dict:
-    scalar_rate, scalar_metrics, _ = _drain_rate(spec, "scalar", rounds)
-    vector_rate, vector_metrics, _ = _drain_rate(spec, "vector", rounds)
+    scalar_rate, scalar_state, _, _ = _drain_rate(spec, "scalar", rounds)
+    vector_rate, vector_state, _, _ = _drain_rate(spec, "vector", rounds)
     # recorder-on leg: same vector pipeline with per-flush time-series
     # sampling; the recorder must not perturb the metrics it observes
-    sampled_rate, sampled_metrics, overhead = _drain_rate(
+    sampled_rate, sampled_state, overhead, _ = _drain_rate(
         spec, "vector", rounds, series_bucket=DRAIN_CAPACITY
+    )
+    # aged leg: the same drains over blocks that already hold stuck cells
+    aged_scalar_rate, aged_scalar_state, _, _ = _drain_rate(
+        spec, "scalar", rounds, stuck_cells=AGED_STUCK_CELLS
+    )
+    aged_vector_rate, aged_vector_state, _, escalated_fraction = _drain_rate(
+        spec, "vector", rounds, stuck_cells=AGED_STUCK_CELLS
     )
     return {
         "rounds": rounds,
@@ -194,8 +246,16 @@ def _drain_ladder(spec: SchemeSpec, rounds: int) -> dict:
         "sampled_writes_per_second": round(sampled_rate, 1),
         "sampling_overhead_fraction": round(overhead, 4),
         "speedup": round(vector_rate / scalar_rate, 3),
-        "identical": scalar_metrics == vector_metrics
-        and sampled_metrics == vector_metrics,
+        "identical": scalar_state == vector_state
+        and sampled_state == vector_state,
+        "aged": {
+            "stuck_cells_per_block": AGED_STUCK_CELLS,
+            "scalar_writes_per_second": round(aged_scalar_rate, 1),
+            "vector_writes_per_second": round(aged_vector_rate, 1),
+            "speedup": round(aged_vector_rate / aged_scalar_rate, 3),
+            "escalated_fraction": round(escalated_fraction, 4),
+            "identical": aged_scalar_state == aged_vector_state,
+        },
     }
 
 
@@ -429,6 +489,8 @@ def main(argv: list[str] | None = None) -> int:
             flags.append("ENGINE MISMATCH")
         if not record["drain"]["identical"]:
             flags.append("DRAIN MISMATCH")
+        if not record["drain"]["aged"]["identical"]:
+            flags.append("AGED DRAIN MISMATCH")
         if not record["integrity_ok"]:
             flags.append("INTEGRITY FAILURES")
         if flags:
@@ -437,6 +499,8 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"{record['spec']:12s} serial {record['serial_ops_per_second']:9.1f} ops/s  "
             f"drain {record['drain']['speedup']:5.2f}x  "
+            f"aged {record['drain']['aged']['speedup']:5.2f}x "
+            f"(escalated {record['drain']['aged']['escalated_fraction']:.1%})  "
             f"sampling {record['drain']['sampling_overhead_fraction']:.1%}  "
             f"best {record['best_speedup']:.2f}x @ {record['best_speedup_workers']} workers  "
             f"remaps {record['remaps']:3d}  capacity {record['capacity_fraction']:.3f}  "

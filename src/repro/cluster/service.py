@@ -413,8 +413,12 @@ class ClusterService:
         is created, and a recycled local address can never leak another
         key's stale data).  Dead keys raise the typed
         :class:`~repro.errors.RetiredBlockError` from the owning array.
+        A negative address raises :class:`ConfigurationError`, as in
+        :meth:`write`.
         """
         self.tenant(tenant_id)
+        if address < 0:
+            raise ConfigurationError("tenant addresses cannot be negative")
         self.telemetry.metrics.inc_key(self._tenant_keys[tenant_id]["reads"])
         self.clock += 1
         placed = self._placement.get((tenant_id, address))

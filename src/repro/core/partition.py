@@ -5,7 +5,8 @@ precomputed numpy lookup tables so the hot operations of the recovery
 controllers and Monte Carlo simulators are O(1) array lookups:
 
 * ``group_ids(slope)`` — group ID of every block bit under a slope (one row
-  of a ``B x n`` table, the software twin of the paper's Figure 3 ROM);
+  of the ``B x n`` :attr:`~AegisPartition.group_table`, the software twin
+  of the paper's Figure 3 ROM);
 * ``members_mask(slope, groups)`` — 0/1 mask of the bits belonging to a set
   of groups (the Figure 4 inversion-mask ROM);
 * ``find_separating_slope`` — the re-partition walk of §2.2: starting from
@@ -41,6 +42,13 @@ class AegisPartition:
         self._table = ((b[None, :] - a[None, :] * slopes) % rect.b_size).astype(np.int16)
         self._table.flags.writeable = False
         self._members: dict[tuple[int, int], np.ndarray] = {}
+
+    @property
+    def group_table(self) -> np.ndarray:
+        """The read-only ``(B, n)`` table: ``group_table[k, x]`` is the
+        group of bit ``x`` under slope ``k`` — the whole Figure 3 ROM, for
+        callers that gather group ids for many slopes or rows at once."""
+        return self._table
 
     @property
     def n_bits(self) -> int:

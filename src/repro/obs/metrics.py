@@ -69,6 +69,9 @@ class Histogram:
             self.counts = [0] * (len(self.edges) + 1)
         elif len(self.counts) != len(self.edges) + 1:
             raise ConfigurationError("histogram counts do not match edges")
+        # bucket lookup table for observe_many (searchsorted on the tuple
+        # would convert it on every call)
+        self._edge_array = np.asarray(self.edges)
 
     def observe(self, value: float) -> None:
         self.counts[bisect.bisect_left(self.edges, value)] += 1
@@ -87,7 +90,7 @@ class Histogram:
         values = np.asarray(values)
         if values.size == 0:
             return
-        buckets = np.searchsorted(self.edges, values, side="left")
+        buckets = self._edge_array.searchsorted(values, side="left")
         counts = self.counts
         for index, count in enumerate(np.bincount(buckets).tolist()):
             if count:

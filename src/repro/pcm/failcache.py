@@ -116,12 +116,31 @@ class DirectMappedFailCache:
 
     def record(self, cells: CellArray, offset: int, stuck_value: int) -> None:
         """Insert a fault discovered by a verification read."""
+        self.record_many(cells, [offset], [int(stuck_value)])
+
+    def record_many(self, cells: CellArray, offsets: list[int], values: list[int]) -> None:
+        """:meth:`record` for several faults of one block, in order.
+
+        Re-recording a fault whose entry is already resident changes
+        nothing, so such offsets are skipped; the resulting entries and
+        eviction count equal those of the per-offset loop.  An empty call
+        does not touch the keyer, so block keys are handed out exactly as
+        the per-offset loop would.
+        """
+        if not offsets:
+            return
         block_key = self._key_of(cells)
-        index = self._index(block_key, offset)
-        existing = self._entries.get(index)
-        if existing is not None and (existing.block_key, existing.offset) != (block_key, offset):
-            self.evictions += 1
-        self._entries[index] = _Entry(block_key, offset, int(stuck_value))
+        entries = self._entries
+        for offset, value in zip(offsets, values):
+            index = self._index(block_key, offset)
+            existing = entries.get(index)
+            if existing is not None:
+                if existing.block_key == block_key and existing.offset == offset:
+                    if existing.stuck_value == value:
+                        continue
+                else:
+                    self.evictions += 1
+            entries[index] = _Entry(block_key, offset, value)
 
     # -- statistics -----------------------------------------------------------
 

@@ -262,8 +262,10 @@ class MemoryArray:
         if self.fail_cache is None:
             return
         cells = self.blocks[physical].cells
-        for offset in cells.fault_offsets:
-            self.fail_cache.record(cells, offset, cells.stuck_value_of(offset))
+        offsets = np.flatnonzero(cells._stuck)
+        self.fail_cache.record_many(
+            cells, offsets.tolist(), cells._stuck_value[offsets].tolist()
+        )
 
     def write(self, address: int, payload: np.ndarray) -> WriteReceipt:
         """Store ``payload`` at ``address``, surviving block failures.

@@ -20,10 +20,10 @@ the pieces the reproduction already models bit-accurately):
    model's semantics (only differing cells are programmed; every write
    verifies).
 4. **Retry-with-repartition escalation** — rows that cannot complete in
-   one clean pass (repartition walks, spare remaps, proactive
-   migrations, first-touch allocations) fall out of the batch to the
-   scalar per-row pipeline, in row order, so the rare path stays
-   bit-identical whatever the engine.
+   one clean pass, or for Aegis in one inversion write (repartition
+   walks, spare remaps, proactive migrations, first-touch allocations),
+   fall out of the batch to the scalar per-row pipeline, in row order,
+   so the rare path stays bit-identical whatever the engine.
 5. **Typed failure** — only a write that finds the pool exhausted raises
    :class:`~repro.errors.RetiredBlockError`.  During a buffered flush the
    controller absorbs it into telemetry (``writes_lost``) so one dead

@@ -15,15 +15,16 @@ escalation detection as whole-batch numpy operations, with three pieces:
 * Per-scheme kernels (:class:`_XorMaskKernel` for Aegis/SAFER/the
   unprotected baseline, :class:`_EcpKernel`, :class:`_HammingKernel`)
   that classify which rows of a drain are *fast* — serviceable in one
-  differential write pass with a clean verification read — and commit
-  the scheme-side state for those rows in batch.
+  differential write pass with a clean verification read, or (Aegis) in
+  §2.2's two passes around one inversion flip — and commit the
+  scheme-side state for those rows in batch.
 * :func:`drain_vector` — the whole-drain driver: classify, then walk the
   batch in row order as alternating [fast run][escalation row] segments.
-  Fast runs commit as one fancy-indexed batch write (gather → XOR
-  popcount cell-write costs via the uint64 bitset helpers in
-  :mod:`repro.sim.kernels` → wear → scatter); escalation rows (unmapped
-  or dead addresses, proactive migrations, repartition walks, spare
-  remaps, invalid payloads) fall back to the scalar per-row pipeline.
+  Fast runs commit as one fancy-indexed batch write (gather → first
+  pass → second pass of the inversion-flipped forms → programmed-cell
+  counts → wear → scatter); escalation rows (unmapped or dead
+  addresses, proactive migrations, repartition walks, spare remaps,
+  invalid payloads) fall back to the scalar per-row pipeline.
 
 Bit-identity contract
 ---------------------
@@ -32,14 +33,24 @@ snapshots, trace JSONL and final array state are byte-identical
 (asserted across schemes/seeds/workers in ``tests/test_service_kernels.py``).
 The argument has three legs:
 
-* **Fast rows are provably single-pass.**  Each kernel's predicate is
-  evaluated against pre-drain state, which equals pre-write state
-  because a drain's rows target distinct logical addresses and the
-  logical→physical map is injective — distinct rows touch distinct
-  blocks.  A fast row's scalar execution performs exactly one
-  differential write and one clean verification read, touches no RNG,
-  emits no events or spans, and yields receipt
-  ``(cell_writes, 1, 0, 0)`` — all reproduced in batch.
+* **Fast rows are provably one-pass or two-pass.**  Each kernel's
+  predicate is evaluated against pre-drain state, which equals
+  pre-write state because a drain's rows target distinct logical
+  addresses and the logical→physical map is injective — distinct rows
+  touch distinct blocks.  A one-pass row's scalar execution performs
+  exactly one differential write and one clean verification read,
+  touches no RNG, emits no events or spans, and yields receipt
+  ``(cell_writes, 1, 0, 0)``.  A two-pass Aegis row has stuck-at-wrong
+  cells ``W`` in pairwise distinct groups ``G`` under the current slope
+  and no stuck-at-right cell in any group of ``G``.  The scalar walk
+  writes, verifies and finds exactly ``W``; ``W`` is separated, so it
+  flips the inversion bit of each group in ``G`` and writes again.  Every
+  cell of ``G`` now holds its complement, which the stuck cells of ``G``
+  (all in ``W``) match, and every cell outside ``G`` is unchanged, where
+  all stuck cells are stuck-at-right — so the second verification is
+  clean.  The walk adds ``W`` to the learned faults, wears the block
+  once after both passes, touches no RNG, emits nothing, and yields
+  ``(cw1 + cw2, 2, 0, |G|)`` — all reproduced in batch.
 * **Escalation rows run the scalar code itself**, in row order, between
   fast segments, so mid-drain exceptions (strict retirement, invalid
   payloads) leave the array in the same state under both engines.
@@ -146,17 +157,53 @@ class BlockStore:
 # ---------------------------------------------------------------------------
 
 
-class _XorMaskKernel:
+class _BatchKernel:
+    """Defaults for the per-scheme kernels: one pass per fast row and no
+    scheme-side state beyond the shared cell matrices."""
+
+    def second_pass(
+        self, start: int, stop: int, p: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """The second write pass of the fast rows ``[start, stop)`` on
+        physical blocks ``p``: ``(second-pass forms, inversion writes per
+        row)``, or ``None`` when every row of the segment is one-pass.
+        A one-pass row's second form is its first form, so rewriting it
+        programs nothing.  Applies the scheme-side state change the scalar
+        walk makes between its two passes."""
+        return None
+
+    def commit(
+        self,
+        row_ids: range,
+        p: np.ndarray,
+        data_rows: np.ndarray,
+        form_rows: np.ndarray,
+    ) -> np.ndarray | None:
+        """Scheme-side commit for one fast segment; returns extra per-row
+        cell writes (``None`` when the scheme programs no side cells)."""
+        return None
+
+
+class _XorMaskKernel(_BatchKernel):
     """Aegis / SAFER / unprotected: stored form = data XOR inversion mask.
 
-    A row is fast iff no stuck cell disagrees with its target form — then
-    the scalar ``_encode_write`` returns after one pass with a clean
+    A row is *one-pass* iff no stuck cell disagrees with its target form —
+    then the scalar ``_encode_write`` returns after one pass with a clean
     verification read, flipping no inversion bits and learning no faults.
     The per-block inversion vectors are adopted into a ``(blocks, groups)``
-    matrix (both schemes mutate them strictly in place) so "is any
-    inversion bit set" is one batch reduction; the expensive per-block
-    mask expansion is cached keyed on the scheme's partition state, which
-    only changes when the scalar fallback handles a new fault.
+    matrix (every scheme mutates them strictly in place).
+
+    Aegis rows also have a *two-pass* class (§2.2's inversion write): under
+    the block's current slope, the stuck-at-wrong cells of the first-pass
+    form fall in pairwise distinct groups and no stuck-at-right cell shares
+    a group with any of them.  The scalar walk then verifies, finds exactly
+    those cells, sees them separated, flips the inversion bit of each hit
+    group, rewrites, and verifies clean — no re-partition, no RNG, no span.
+    Both classes are decided in batch from one ``(rows, n)`` group-id
+    gather out of the partition's group table and per-group SA-W / SA-R
+    counts.  SAFER keeps a per-block mask expansion, cached keyed on its
+    partition state, which only changes when the scalar fallback handles
+    a new fault.
     """
 
     def __init__(self, array, kind: str) -> None:
@@ -173,14 +220,18 @@ class _XorMaskKernel:
                 inversion[index] = block.scheme.inversion
                 block.scheme.inversion = inversion[index]
             self.inversion = inversion
+        if kind == "aegis":
+            table = array.blocks[0].scheme.partition.group_table
+            self._gids = table.astype(np.intp)
         self._mask_cache: dict[int, tuple[object, np.ndarray]] = {}
+        #: this drain's two-pass plan, aligned with the batch rows:
+        #: (second-pass forms, hit groups, stuck-at-wrong cells, inversion
+        #: writes), or ``None`` when no row takes a second pass
+        self._two_pass: tuple[np.ndarray, ...] | None = None
 
     def _mask_for(self, physical: int) -> np.ndarray:
         scheme = self.array.blocks[physical].scheme
-        if self.kind == "aegis":
-            key: object = (scheme.slope, scheme.inversion.tobytes())
-        else:
-            key = (scheme.positions, scheme.inversion.tobytes())
+        key = (scheme.positions, scheme.inversion.tobytes())
         cached = self._mask_cache.get(physical)
         if cached is not None and cached[0] == key:
             return cached[1]
@@ -192,10 +243,13 @@ class _XorMaskKernel:
         self, phys: np.ndarray, payloads: np.ndarray, candidates: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         fast = candidates.copy()
-        forms = payloads
+        self._two_pass = None
         rows = np.flatnonzero(candidates)
         if rows.size == 0:
-            return fast, forms
+            return fast, payloads
+        if self.kind == "aegis":
+            return self._plan_aegis(fast, rows, phys[rows], payloads)
+        forms = payloads
         if self.inversion is not None:
             inverted = rows[self.inversion[phys[rows]].any(axis=1)]
             if inverted.size:
@@ -209,17 +263,93 @@ class _XorMaskKernel:
         fast[rows[conflict]] = False
         return fast, forms
 
-    def commit(
+    def _plan_aegis(
         self,
-        row_ids: range,
+        fast: np.ndarray,
+        rows: np.ndarray,
         p: np.ndarray,
-        data_rows: np.ndarray,
-        form_rows: np.ndarray,
-    ) -> np.ndarray | None:
-        return None
+        payloads: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        store = self.store
+        inversion = self.inversion
+        stuck = store.stuck[p]
+        inverted = inversion[p].any(axis=1)
+        # only inverted rows need their mask and only faulty rows can
+        # conflict; every other row stores its payload in one clean pass
+        touched = np.flatnonzero(inverted | stuck.any(axis=1))
+        if touched.size == 0:
+            return fast, payloads
+        sub = rows[touched]
+        q = p[touched]
+        count = touched.size
+        groups = inversion.shape[1]
+        blocks = self.array.blocks
+        slopes = [blocks[physical].scheme.slope for physical in q.tolist()]
+        # cells[i, x]: (row i, group of bit x under row i's slope) as one
+        # flat id into a (rows, groups) matrix
+        cells = self._gids[slopes]
+        cells += (np.arange(count) * groups)[:, None]
+        sub_forms = payloads[sub]
+        forms = payloads
+        if inverted.any():
+            sub_forms ^= np.take(inversion[q], cells)
+            forms = payloads.copy()
+            forms[sub] = sub_forms
+        stuck = stuck[touched]
+        wrong = stuck & (store.stuck_value[q] != sub_forms)
+        bins = count * groups
+        wrong_per_group = np.bincount(cells[wrong], minlength=bins)
+        right_per_group = np.bincount(cells[stuck & ~wrong], minlength=bins)
+        hit = wrong_per_group > 0
+        conflict = hit.reshape(count, groups).any(axis=1)
+        if not conflict.any():
+            return fast, forms
+        spoiled = (wrong_per_group > 1) | (hit & (right_per_group > 0))
+        spoiled = spoiled.reshape(count, groups).any(axis=1)
+        fast[sub[spoiled]] = False
+        two_pass = np.flatnonzero(conflict & ~spoiled)
+        if two_pass.size:
+            batch_rows = sub[two_pass]
+            second_forms = forms.copy()
+            # flip the cells of every hit group
+            second_forms[batch_rows] ^= hit[cells[two_pass]].view(np.uint8)
+            hit = hit.reshape(count, groups)[two_pass]
+            batch = payloads.shape[0]
+            hits = np.zeros((batch, groups), dtype=np.uint8)
+            hits[batch_rows] = hit
+            learned = np.zeros(payloads.shape, dtype=bool)
+            learned[batch_rows] = wrong[two_pass]
+            flips = np.zeros(batch, dtype=np.int64)
+            flips[batch_rows] = np.count_nonzero(hit, axis=1)
+            self._two_pass = (second_forms, hits, learned, flips)
+        return fast, forms
+
+    def second_pass(
+        self, start: int, stop: int, p: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        if self._two_pass is None:
+            return None
+        second_forms, hits, learned, flips = self._two_pass
+        flips = flips[start:stop]
+        local = np.flatnonzero(flips)
+        if local.size == 0:
+            return None
+        # the scalar walk's step between its passes: flip every hit group
+        # and remember the faults the first verification read revealed
+        self.inversion[p] ^= hits[start:stop]
+        learned = learned[start:stop]
+        offsets = np.nonzero(learned)[1].tolist()  # row-major: grouped by row
+        ends = np.cumsum(np.count_nonzero(learned, axis=1)).tolist()
+        blocks = self.array.blocks
+        for index in local.tolist():
+            first = ends[index - 1] if index else 0
+            blocks[int(p[index])].scheme.known_fault_offsets.update(
+                offsets[first : ends[index]]
+            )
+        return second_forms[start:stop], flips
 
 
-class _EcpKernel:
+class _EcpKernel(_BatchKernel):
     """ECP with ideal replacement cells (the roster configuration).
 
     A row is fast iff the entries already allocated plus the stuck-at-wrong
@@ -290,7 +420,7 @@ class _EcpKernel:
         return None
 
 
-class _HammingKernel:
+class _HammingKernel(_BatchKernel):
     """(72, 64) SEC-DED: batch-encode check words for fault-free rows.
 
     A row is fast iff its main cells *and* its check cells hold zero
@@ -460,11 +590,11 @@ def drain_vector(
             stop = row + 1
             while stop < batch and fast[stop]:
                 stop += 1
-            cell_writes = _commit_segment(
-                controller, kernel, addresses, phys, payloads, forms, row, stop
+            total.merge(
+                _commit_segment(
+                    controller, kernel, addresses, phys, payloads, forms, row, stop
+                )
             )
-            total.cell_writes += cell_writes
-            total.verification_reads += stop - row
             serviced += stop - row
             row = stop
         else:
@@ -489,9 +619,9 @@ def _commit_segment(
     forms: np.ndarray,
     start: int,
     stop: int,
-) -> int:
+) -> WriteReceipt:
     """Commit one contiguous run of fast rows as a batch; returns the
-    segment's total cell writes."""
+    segment's merged receipt."""
     array = controller.array
     store: BlockStore = array.store
     p = phys[start:stop]
@@ -507,11 +637,22 @@ def _commit_segment(
     # branchless masked merge: stored <- form where healthy (boolean-mask
     # assignment is an order of magnitude slower for these shapes)
     stored ^= (stored ^ form_rows) * healthy.view(np.uint8)
-    store.stored[p] = stored
     write_counts = store.write_counts[p]
     write_counts += programmed
+    cell_writes = programmed.sum(axis=1)
+
+    # -- second pass: the same differential write of the inversion-flipped
+    #    forms over the first pass's result (a no-op on one-pass rows) ----
+    second = kernel.second_pass(start, stop, p)
+    if second is not None:
+        second_forms, inversion_writes = second
+        programmed = stored != second_forms
+        healthy = programmed & ~stuck
+        stored ^= (stored ^ second_forms) * healthy.view(np.uint8)
+        write_counts += programmed
+        cell_writes += programmed.sum(axis=1)
+    store.stored[p] = stored
     store.write_counts[p] = write_counts
-    cell_writes = popcount_rows_u64(pack_rows_u64(programmed))
 
     # -- wear (matches ProtectedBlock._apply_wear: post-write, freeze at the
     #    just-stored value, int counts compared against float endurance) ----
@@ -545,12 +686,22 @@ def _commit_segment(
             array._record_faults(physical)
     array.op_clock = base + count
     cw_list = cell_writes.tolist()
+    if second is None:
+        two_pass = inversion_total = 0
+        reads_list = [1] * count
+        flips_list = [0] * count
+    else:
+        two_pass = int(np.count_nonzero(inversion_writes))
+        inversion_total = int(inversion_writes.sum())
+        flips_list = inversion_writes.tolist()
+        reads_list = [1 + (flips > 0) for flips in flips_list]
     for index, physical in enumerate(p.tolist()):
         block = blocks[physical]
         stats = block.stats
         stats.writes += 1
         stats.cell_writes += cw_list[index]
-        stats.verification_reads += 1
+        stats.verification_reads += reads_list[index]
+        stats.inversion_writes += flips_list[index]
         block.writes_serviced += 1
     # per-row cost attribution: fast rows report the exact cell-write count
     # the scalar receipt would, keeping tenant-bucketed histograms
@@ -574,9 +725,18 @@ def _commit_segment(
         scheme=array.scheme_name,
     )
     telemetry.service_cost.observe_many(cell_writes)
-    telemetry.latency.observe_repeat(2, count)  # 1 pass + 1 verification read
+    # latency in passes: 1 + verification reads + inversion writes
+    if second is None:
+        telemetry.latency.observe_repeat(2, count)
+    else:
+        telemetry.latency.observe_many(2 + (inversion_writes > 0) + inversion_writes)
+    verification_reads = count + two_pass
     telemetry.count("cell_writes_total", cell_writes_total)
-    telemetry.count("verification_reads_total", count)
+    telemetry.count("verification_reads_total", verification_reads)
     telemetry.count("repartitions_total", 0)
-    telemetry.count("inversion_writes_total", 0)
-    return cell_writes_total
+    telemetry.count("inversion_writes_total", inversion_total)
+    return WriteReceipt(
+        cell_writes=cell_writes_total,
+        verification_reads=verification_reads,
+        inversion_writes=inversion_total,
+    )

@@ -10,7 +10,9 @@ simulated as flat numpy arrays:
   of sampling 512 endurances per block, the first ``k`` order statistics
   of the endurance distribution are sampled directly (uniform spacings
   through the inverse CDF) together with ``k`` distinct fault positions —
-  memory stays at tens of MB for 131 072 blocks;
+  far less than 512 endurances per block, though the ``(blocks, k)``
+  float64 times and int64 positions are still ~50 MB each: the default
+  131 072-block study (``max_faults=48``) peaks near 300 MB resident;
 * Aegis survival is the poisoned-slope condition maintained as the
   collision ROM's per-block ``uint64`` bitsets (B <= 63): at arrival
   ``f``, the collision slopes of the new fault against each earlier fault

@@ -601,7 +601,7 @@ class AegisDynamicChecker:
         inversion = np.zeros(self.rect.b_size, dtype=np.uint8)
         slope = self.slope
         detected: set[int] = set()
-        table = self._partition._table
+        table = self._partition.group_table
         for _ in range(4 * len(offs) + self.rect.b_size + 4):
             groups = table[slope, offs]
             stored_wanted = data ^ inversion[groups]

@@ -225,7 +225,7 @@ class _AegisBatch(_BatchChecker):
         super().__init__(n_bits, n_trials)
         form = formation(a_size, b_size, n_bits)
         self._rom = collision_rom_for(form.rect)
-        self._part = partition_for(form.rect)._table
+        self._part = partition_for(form.rect).group_table
         self.poisoned = np.zeros(n_trials, dtype=np.uint64)
         # inverse partition: (slope, group) -> member cells, -1-padded;
         # groups are tiny (~a_size cells), which is what makes the sparse

@@ -64,6 +64,14 @@ class TestTenants:
         with pytest.raises(ConfigurationError):
             cluster.read("ghost", 0)
 
+    def test_negative_addresses_are_rejected(self):
+        cluster = small_cluster()
+        cluster.register_tenant(TenantSpec("acme", QoSClass.INTERACTIVE, 1))
+        with pytest.raises(ConfigurationError):
+            cluster.write("acme", -1, payload(1))
+        with pytest.raises(ConfigurationError):
+            cluster.read("acme", -1)
+
     def test_namespaces_are_isolated(self):
         cluster = small_cluster()
         cluster.register_tenant(TenantSpec("acme", QoSClass.INTERACTIVE, 1))

@@ -121,6 +121,18 @@ class TestProtocol:
 
         asyncio.run(with_frontend(scenario))
 
+    def test_negative_read_address_is_rejected(self):
+        async def scenario(frontend, cluster):
+            client = LoopbackClient(frontend.host, frontend.port)
+            await client.connect()
+            await client.hello("vip")
+            response = await client.read(-1)
+            assert response["ok"] is False and response["error"] == "rejected"
+            assert (await client.read(0))["ok"]  # the session lives on
+            await client.close()
+
+        asyncio.run(with_frontend(scenario))
+
 
 class TestMalformedLines:
     """Lines the protocol cannot use get a typed reply; the session lives on."""

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.pcm.cell import CellArray
-from repro.pcm.failcache import DirectMappedFailCache
+from repro.pcm.failcache import DirectMappedFailCache, SequentialBlockKeys
 
 
 class TestFailCache:
@@ -71,3 +71,25 @@ class TestFailCache:
         cache.record(cells, 3, 1)
         cache.record(cells, 3, 1)
         assert cache.evictions == 0
+
+    def test_record_many_matches_the_per_offset_loop(self):
+        def fill(batched):
+            cache = DirectMappedFailCache(capacity=7, key_of=SequentialBlockKeys())
+            blocks = [CellArray(64) for _ in range(3)]
+            for index, cells in enumerate(blocks):
+                offsets = [] if index == 0 else [3 * index, 5 * index, 40 + index]
+                values = [offset % 2 for offset in offsets]
+                for _ in range(2):  # the second round re-records resident faults
+                    if batched:
+                        cache.record_many(cells, offsets, values)
+                    else:
+                        for offset, value in zip(offsets, values):
+                            cache.record(cells, offset, value)
+            # an empty batch hands out no block key, so the keys that
+            # decide direct-mapped conflicts stay those of the loop
+            probe = CellArray(64)
+            probe.inject_fault(1, stuck_value=0)
+            cache.record(probe, 1, 0)
+            return cache._entries, cache.evictions, cache._key_of(probe)
+
+        assert fill(batched=True) == fill(batched=False)

@@ -9,15 +9,21 @@ rows escalate to repartition/remap mid-batch.  Schemes without a service
 kernel fall back to the scalar path transparently.
 """
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, RetiredBlockError
 from repro.pcm.failcache import DirectMappedFailCache, SequentialBlockKeys
 from repro.pcm.lifetime import FixedLifetime, NormalLifetime
+from repro.obs.tracer import Tracer
 from repro.service import (
     MemoryArray,
     ServiceController,
+    ServiceTelemetry,
     kernel_for,
     resolve_engine,
     run_load,
@@ -307,3 +313,212 @@ class TestLoadGeneratorSweep:
         )
         assert got_snapshot == snapshot
         assert got_trace == trace
+
+
+# ---------------------------------------------------------------------------
+# Aegis two-pass rows: planted stuck cells, vector drain vs scalar pipeline
+# ---------------------------------------------------------------------------
+
+AEGIS = aegis_spec(9, 61, 512)
+
+#: planted fault patterns, relative to the first-pass form of the payload:
+#: ``one_per_group`` qualifies for the batched inversion write; the other
+#: two force the scalar walk (a collision, or a flip that exposes a
+#: stuck-at-right cell)
+QUALIFYING = ("one_per_group",)
+DISQUALIFYING = ("two_in_group", "right_shares_group")
+
+TWIN_ADDRESSES = 8
+
+
+def _aegis_twin(engine):
+    """A traced Aegis 9x61 array with every address already placed (so
+    the drains under test need no first-touch allocation) and no wear."""
+    telemetry = ServiceTelemetry(tracer=Tracer())
+    array = MemoryArray(
+        TWIN_ADDRESSES,
+        AEGIS.n_bits,
+        AEGIS.make_controller,
+        spares=4,
+        lifetime_model=FixedLifetime(10**9),
+        fail_cache=DirectMappedFailCache(256, key_of=SequentialBlockKeys()),
+        telemetry=telemetry,
+        rng=rng_for(2013, 0, 80),
+        engine=engine,
+    )
+    controller = ServiceController(array, buffer_capacity=64)
+    for address in range(TWIN_ADDRESSES):
+        controller.write(address, np.zeros(AEGIS.n_bits, dtype=np.uint8))
+    controller.flush()
+    return array, controller
+
+
+def _plant(array, address, *, pattern, slope, inversion, payload, groups, seed):
+    """Set the block's slope and inversion vector, then inject stuck cells
+    whose stuck values are wrong (or right) for ``payload``'s first-pass
+    form: one wrong cell in each of ``groups`` distinct groups, plus the
+    pattern's extra cell in the first of them."""
+    block = array.blocks[array.physical_of(address)]
+    scheme = block.scheme
+    scheme.slope = slope
+    scheme.inversion[:] = inversion  # in place: the kernel adopted the row
+    partition = scheme.partition
+    form = payload ^ inversion[partition.group_ids(slope)]
+    rng = np.random.default_rng(seed)
+    # 512 of the rectangle's 549 cells are used, so some groups are short
+    sizes = np.bincount(partition.group_ids(slope), minlength=partition.group_count)
+    chosen = rng.choice(np.flatnonzero(sizes >= 2), size=groups, replace=False)
+    for index, group in enumerate(chosen.tolist()):
+        members = rng.permutation(partition.members_array(group, slope))
+        planted = [(int(members[0]), True)]
+        if index == 0 and pattern == "two_in_group":
+            planted.append((int(members[1]), True))
+        elif index == 0 and pattern == "right_shares_group":
+            planted.append((int(members[1]), False))
+        for offset, wrong in planted:
+            value = int(form[offset]) ^ int(wrong)
+            block.cells.inject_fault(offset, value)
+
+
+def _twin_state(array):
+    blocks = array.blocks
+    return (
+        [block.scheme.slope for block in blocks],
+        [block.scheme.inversion.tolist() for block in blocks],
+        [sorted(block.scheme.known_fault_offsets) for block in blocks],
+        [block.stats for block in blocks],
+        array.telemetry.snapshot(),
+        [json.dumps(root.to_dict(), sort_keys=True) for root in array.telemetry.tracer.roots],
+        json.dumps(array.telemetry.tracer.snapshot(), sort_keys=True),
+    )
+
+
+def _assert_twins_identical(scalar, vector):
+    _assert_same_state(scalar, vector)
+    assert _twin_state(vector) == _twin_state(scalar)
+
+
+_plans = st.lists(
+    st.tuples(
+        st.sampled_from(("clean",) + QUALIFYING + DISQUALIFYING),
+        st.integers(0, 60),  # slope
+        st.booleans(),  # non-zero inversion vector
+        st.integers(1, 4),  # groups holding a stuck-at-wrong cell
+        st.integers(0, 2**16),  # payload / placement seed
+    ),
+    min_size=1,
+    max_size=TWIN_ADDRESSES,
+)
+
+
+class TestTwoPassRows:
+    """Rows whose only recovery is §2.2's inversion write commit in the
+    vector drain; the scalar pipeline is the oracle."""
+
+    @staticmethod
+    def _run(engine, plans, rounds=2):
+        array, controller = _aegis_twin(engine)
+        rng = np.random.default_rng(99)
+        for address, (pattern, slope, inverted, groups, seed) in enumerate(plans):
+            payload = np.random.default_rng(seed).integers(
+                0, 2, AEGIS.n_bits, dtype=np.uint8
+            )
+            inversion = (
+                np.random.default_rng(seed + 1).integers(0, 2, 61, dtype=np.uint8)
+                if inverted
+                else np.zeros(61, dtype=np.uint8)
+            )
+            if pattern != "clean":
+                _plant(
+                    array,
+                    address,
+                    pattern=pattern,
+                    slope=slope,
+                    inversion=inversion,
+                    payload=payload,
+                    groups=groups,
+                    seed=seed,
+                )
+            controller.write(address, payload)
+        controller.flush()
+        # later rounds meet the flipped inversion vectors, re-partitioned
+        # slopes and learned faults the first drain left behind
+        for _ in range(rounds - 1):
+            for address in range(len(plans)):
+                controller.write(
+                    address, rng.integers(0, 2, AEGIS.n_bits, dtype=np.uint8)
+                )
+            controller.flush()
+        return array
+
+    @settings(max_examples=40, deadline=None)
+    @given(plans=_plans)
+    def test_vector_matches_scalar_on_planted_faults(self, plans):
+        scalar = self._run("scalar", plans)
+        vector = self._run("vector", plans)
+        _assert_twins_identical(scalar, vector)
+        for address in range(len(plans)):
+            assert np.array_equal(
+                vector.read(address), scalar.read(address)
+            )
+
+    @staticmethod
+    def _spied_drain(monkeypatch, pattern, *, slope, inverted):
+        """Plant ``pattern`` (three hit groups) on address 3 and drain it
+        beside a clean neighbour under the vector engine, spying on
+        :meth:`MemoryArray.write`.  Returns the addresses that reached it,
+        the block's (verification reads, inversion writes) before and
+        after, and the block."""
+        array, controller = _aegis_twin("vector")
+        payload = np.random.default_rng(5).integers(0, 2, AEGIS.n_bits, dtype=np.uint8)
+        inversion = (
+            np.random.default_rng(6).integers(0, 2, 61, dtype=np.uint8)
+            if inverted
+            else np.zeros(61, dtype=np.uint8)
+        )
+        _plant(
+            array,
+            3,
+            pattern=pattern,
+            slope=slope,
+            inversion=inversion,
+            payload=payload,
+            groups=3,
+            seed=7,
+        )
+        block = array.blocks[array.physical_of(3)]
+        before = (block.stats.verification_reads, block.stats.inversion_writes)
+        calls = []
+        original = MemoryArray.write
+
+        def spy(self, address, data):
+            calls.append(address)
+            return original(self, address, data)
+
+        monkeypatch.setattr(MemoryArray, "write", spy)
+        controller.write(3, payload)
+        controller.write(5, payload)  # a clean neighbour in the same drain
+        controller.flush()
+        assert np.array_equal(array.read(3), payload)
+        after = (block.stats.verification_reads, block.stats.inversion_writes)
+        return calls, before, after, block
+
+    @pytest.mark.parametrize("slope, inverted", [(0, False), (17, True)])
+    def test_qualifying_row_never_reaches_the_scalar_write(
+        self, monkeypatch, slope, inverted
+    ):
+        calls, before, after, block = self._spied_drain(
+            monkeypatch, "one_per_group", slope=slope, inverted=inverted
+        )
+        assert calls == []
+        # pass 1 + verify, flip the three hit groups, pass 2 + clean verify
+        assert after == (before[0] + 2, before[1] + 3)
+        assert block.scheme.slope == slope
+        assert len(block.scheme.known_fault_offsets) == 3
+
+    @pytest.mark.parametrize("pattern", DISQUALIFYING)
+    def test_disqualifying_pattern_takes_the_scalar_write(self, monkeypatch, pattern):
+        calls, _, _, _ = self._spied_drain(
+            monkeypatch, pattern, slope=17, inverted=True
+        )
+        assert calls == [3]
